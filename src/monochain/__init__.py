@@ -1,10 +1,11 @@
 """Monotone Markov chains on composition lattices.
 
-Exact transition kernels for the Moran replacement chain, three sequential
-Polya urn variants, and a generalized redistribution (Ehrenfest) urn; the
-monotone eigenfunctions that drive two-sided nonasymptotic total-variation
-bounds from arbitrary start states; explicit order-preserving couplings; and
-a desk-scale exact engine that verifies all of it on small state spaces.
+Exact transition kernels for the Moran replacement chain and the urn chains
+(three sequential Polya orders and a generalized redistribution (Ehrenfest)
+urn, all one ``UrnSpec``); the monotone eigenfunctions that drive two-sided
+nonasymptotic total-variation bounds from arbitrary start states; explicit
+order-preserving couplings; and a desk-scale exact engine that verifies all
+of it on small state spaces.
 """
 
 from .bounds import (
@@ -21,9 +22,7 @@ from .coupling import (
     CoupledPair,
     Labeling,
     build_labeling,
-    coupled_ehrenfest_step,
     coupled_moran_step,
-    coupled_polya_step,
     coupled_step,
     dominated_pick,
     run_coupled,
@@ -58,6 +57,7 @@ from .kernels import (
     PolyaLevel,
     PolyaUpDown,
     TransitionRow,
+    UrnSpec,
     ehrenfest_row,
     expand_standard,
     mean_drift,
@@ -67,6 +67,7 @@ from .kernels import (
     spec_from_json,
     spec_to_json,
     transition_row,
+    urn_row,
 )
 from .spectral import (
     ConditionReport,

@@ -16,15 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnknownStationaryError, ValidationError
-from .kernels import (
-    Ehrenfest,
-    ModelSpec,
-    MoranGeneral,
-    MoranStandard,
-    PolyaDownUp,
-    PolyaLevel,
-    PolyaUpDown,
-)
+from .kernels import ModelSpec, MoranStandard, UrnSpec
 from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
@@ -154,14 +146,20 @@ def stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
             return multinomial_log_pmf(x, spec.N, spec.p)
         alpha = tuple(spec.N * spec.m * pi / (1.0 - spec.m) for pi in spec.p)
         return dm_log_pmf(x, spec.N, alpha)
-    if isinstance(spec, (PolyaLevel, PolyaUpDown, PolyaDownUp)):
-        return dm_log_pmf(x, spec.N, spec.alpha)
-    if isinstance(spec, Ehrenfest):
-        return multinomial_log_pmf(x, spec.N, spec.p)
+    if isinstance(spec, UrnSpec):
+        log_pmf = dm_log_pmf if spec.reinforced else multinomial_log_pmf
+        return log_pmf(x, spec.N, spec.weights)
     raise UnknownStationaryError(
         f"crude bound unavailable: no closed-form stationary law for "
         f"{type(spec).__name__}"
     )
+
+
+def _report_steps(coeff: float, lam: float, epsilon: float) -> int:
+    """steps_to_epsilon, extended to lam = 0: such a chain is stationary after one step."""
+    if lam == 0.0 and epsilon > 0.0:
+        return 0 if coeff <= epsilon else 1
+    return steps_to_epsilon(coeff, lam, epsilon)
 
 
 def crude_bound(spec: ModelSpec, x: Composition) -> float:
@@ -183,7 +181,7 @@ def bound_report(spec: ModelSpec, x: Composition, epsilon: float) -> BoundReport
         upper_coeff=upper,
         crude_coeff=crude,
         epsilon=epsilon,
-        steps_necessary=steps_to_epsilon(lower, ed.lam, epsilon),
-        steps_sufficient=steps_to_epsilon(upper, ed.lam, epsilon),
-        steps_crude=None if crude is None else steps_to_epsilon(crude, ed.lam, epsilon),
+        steps_necessary=_report_steps(lower, ed.lam, epsilon),
+        steps_sufficient=_report_steps(upper, ed.lam, epsilon),
+        steps_crude=None if crude is None else _report_steps(crude, ed.lam, epsilon),
     )

@@ -27,20 +27,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import math
-
 import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
 from .kernels import (
-    Ehrenfest,
     ModelSpec,
     MoranGeneral,
-    MoranStandard,
     MutationMatrix,
-    PolyaDownUp,
-    PolyaLevel,
-    PolyaUpDown,
+    UrnSpec,
     expand_standard,
     pick_index,
 )
@@ -173,100 +167,57 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     return CoupledPair(tuple(xn), tuple(yn))
 
 
-def _coupled_adds(alpha, x, y, n_balls, s, rng, want_picks=False):
-    """s shared reinforced additions from weights alpha + x vs alpha + y.
+def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, labels=None) -> None:
+    """s shared additions drawn with counts cx, cy (n_balls balls) in the urns.
 
-    Returns add counts for both populations and, when requested, the picked
-    urn sequences (needed to extend the labeling over freshly added balls).
+    Population 1 draws by the weights of cx, population 2 by those of cy, and
+    each draw adds the spec's increment to the weight it picks.  The added
+    balls go into the count lists out1 and out2; with ``labels`` = (pop1,
+    pop2) each also takes the next label, extending the labeling.
     """
-    w1 = [a + c for a, c in zip(alpha, x)]
-    w2 = [a + c for a, c in zip(alpha, y)]
-    total = math.fsum(alpha) + n_balls
-    d = len(w1)
-    a1 = [0] * d
-    a2 = [0] * d
-    picks1: list[int] = []
-    picks2: list[int] = []
-    for _ in range(s):
-        v = rng.random() * total
-        i1, i2 = dominated_pick(v, w1, w2)
-        w1[i1] += 1.0
-        w2[i2] += 1.0
-        a1[i1] += 1
-        a2[i2] += 1
-        if want_picks:
-            picks1.append(i1)
-            picks2.append(i2)
-        total += 1.0
-    return a1, a2, picks1, picks2
+    w1, total = spec.add_weights(cx, n_balls)
+    w2, _ = spec.add_weights(cy, n_balls)
+    inc = spec.inc
+    for _ in range(spec.s):
+        i1, i2 = dominated_pick(rng.random() * total, w1, w2)
+        w1[i1] += inc
+        w2[i2] += inc
+        out1[i1] += 1
+        out2[i2] += 1
+        if labels:
+            labels[0].append(i1)
+            labels[1].append(i2)
+        total += inc
 
 
-def coupled_polya_step(spec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
-    """One coupled sequential-urn step (level, up-down, or down-up order).
+def coupled_urn_step(spec: UrnSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
+    """One coupled urn step (level, up-down, or down-up order).
 
-    All three variants share mark labels and one uniform per reinforced draw;
-    they differ only in when the marked balls leave relative to the
-    additions.  The up-down variant extends the labeling over the s freshly
-    added balls (which satisfy the same per-label species property) before
-    marking out of N + s.
+    All orders share mark labels and one uniform per addition; they differ
+    only in when the marked balls leave relative to the additions.  The
+    up-down order extends the labeling over the s freshly added balls (which
+    satisfy the same per-label species property) before marking out of N + s.
+    Non-reinforced additions draw from the same weights in both populations,
+    so both land on the same urn.
     """
     x, y = pair
-    d = spec.d
-    n = spec.N
-    s = spec.s
-    alpha = spec.alpha
+    n, s = spec.N, spec.s
     pop1, pop2, _, _ = _labels(x, y)
-
-    if isinstance(spec, PolyaUpDown):
-        a1, a2, picks1, picks2 = _coupled_adds(alpha, x, y, n, s, rng, want_picks=True)
-        pop1 += picks1
-        pop2 += picks2
-        marks = _draw_distinct(rng, n + s, s)
-        xn = [xi + ai for xi, ai in zip(x, a1)]
-        yn = [yi + ai for yi, ai in zip(y, a2)]
-        for lbl in marks:
-            xn[pop1[lbl]] -= 1
-            yn[pop2[lbl]] -= 1
-    else:
-        marks = _draw_distinct(rng, n, s)
-        xn = list(x)
-        yn = list(y)
-        for lbl in marks:
-            xn[pop1[lbl]] -= 1
-            yn[pop2[lbl]] -= 1
-        if isinstance(spec, PolyaLevel):
-            # Additions reinforce the pre-removal weights (marked balls still
-            # present while the draws happen).
-            a1, a2, _, _ = _coupled_adds(alpha, x, y, n, s, rng)
-        elif isinstance(spec, PolyaDownUp):
-            a1, a2, _, _ = _coupled_adds(alpha, xn, yn, n - s, s, rng)
-        else:
-            raise ValidationError(f"not a Polya spec: {type(spec).__name__}")
-        for i in range(d):
-            xn[i] += a1[i]
-            yn[i] += a2[i]
-    _check_order(xn, yn, d - 1)
-    return CoupledPair(tuple(xn), tuple(yn))
-
-
-def coupled_ehrenfest_step(spec: Ehrenfest, pair: CoupledPair,
-                           rng: np.random.Generator) -> CoupledPair:
-    """One coupled redistribution step: shared removal labels, shared placements."""
-    x, y = pair
-    d = spec.d
-    n = spec.N
-    pop1, pop2, _, _ = _labels(x, y)
-    marks = _draw_distinct(rng, n, spec.s)
     xn = list(x)
     yn = list(y)
-    for lbl in marks:
+    if spec.order == "updown":
+        _coupled_adds(spec, x, y, n, xn, yn, rng, labels=(pop1, pop2))
+        n += s  # the marks fall among the N + s balls now present
+    for lbl in _draw_distinct(rng, n, s):
         xn[pop1[lbl]] -= 1
         yn[pop2[lbl]] -= 1
-    for _ in range(spec.s):
-        t = pick_index(rng.random(), spec.p)
-        xn[t] += 1
-        yn[t] += 1
-    _check_order(xn, yn, d - 1)
+    if spec.order == "level":
+        # The additions reinforce the pre-removal weights (marked balls still
+        # present while the draws happen).
+        _coupled_adds(spec, x, y, n, xn, yn, rng)
+    elif spec.order == "downup":
+        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
+    _check_order(xn, yn, len(xn) - 1)
     return CoupledPair(tuple(xn), tuple(yn))
 
 
@@ -275,9 +226,7 @@ def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
         return coupled_moran_step(spec.M, pair, rng)
-    if isinstance(spec, Ehrenfest):
-        return coupled_ehrenfest_step(spec, pair, rng)
-    return coupled_polya_step(spec, pair, rng)
+    return coupled_urn_step(spec, pair, rng)
 
 
 def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,

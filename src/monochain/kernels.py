@@ -1,4 +1,4 @@
-"""Transition kernels for the five chain families.
+"""Transition kernels for the Moran chains and the urn chains.
 
 Moran replacement chain on species counts: at each step one individual dies
 (uniform), one reproduces (uniform, possibly the same), and the offspring
@@ -6,11 +6,16 @@ mutates from species k to species i with probability m_ki, giving
 
     K(x, x + e_i - e_j) = (x_j / N) * sum_k (x_k / N) m_ki,   i != j.
 
-Urn families move s balls per step.  Their rows collapse to closed forms:
-multivariate hypergeometric removals times (Dirichlet-)multinomial additions,
-with the reinforced additions of the Polya variants evaluated through rising
-factorials so non-integer urn weights work.  The closed forms are gated in the
-test suite against brute-force enumeration of the ordered draw sequences.
+Urn chains move s balls per step and share one spec, ``UrnSpec(N, s, weights,
+order, reinforced)``: remove s balls uniformly and make s weighted additions,
+in level, down-up or up-down order, with reinforced (Polya) or plain
+(Ehrenfest) draws.  The four families are the tagged (order, reinforced)
+pairs: polya_level (level, True), polya_updown (updown, True), polya_downup
+(downup, True) and ehrenfest (downup, False).  Their rows collapse to closed
+forms: multivariate hypergeometric removals times addition laws evaluated
+through rising factorials with step 1 (Dirichlet-multinomial, so non-integer
+urn weights work) or 0 (multinomial).  The closed forms are gated in the test
+suite against brute-force enumeration of the ordered draw sequences.
 
 ``sample_step`` draws one transition generatively.  Every categorical decision
 consumes exactly one uniform and inverts the CDF in index order, resolving
@@ -19,7 +24,8 @@ boundary ties to the lower index, so runs are reproducible given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 import numpy as np
@@ -31,24 +37,20 @@ _ROW_SUM_TOL = 1e-10
 _PROB_VEC_TOL = 1e-12
 
 
+def _validate_weights(w, name: str) -> tuple[float, ...]:
+    wt = tuple(float(v) for v in w)
+    if len(wt) < 2:
+        raise ValidationError(f"{name} needs at least 2 entries, got {wt!r}")
+    if any(v <= 0.0 for v in wt):
+        raise ValidationError(f"{name} entries must be positive, got {wt!r}")
+    return wt
+
+
 def _validate_prob_vector(p, name: str) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in p)
-    if len(pt) < 2:
-        raise ValidationError(f"{name} needs at least 2 entries, got {pt!r}")
-    if any(v <= 0.0 for v in pt):
-        raise ValidationError(f"{name} entries must be positive, got {pt!r}")
+    pt = _validate_weights(p, name)
     if abs(math.fsum(pt) - 1.0) > _PROB_VEC_TOL:
         raise ValidationError(f"{name} must sum to 1, got sum {math.fsum(pt)!r}")
     return pt
-
-
-def _validate_weights(alpha, name: str) -> tuple[float, ...]:
-    at = tuple(float(v) for v in alpha)
-    if len(at) < 2:
-        raise ValidationError(f"{name} needs at least 2 entries, got {at!r}")
-    if any(v <= 0.0 for v in at):
-        raise ValidationError(f"{name} entries must be positive, got {at!r}")
-    return at
 
 
 class MutationMatrix:
@@ -104,6 +106,21 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+def _validate_sizes(spec, *names: str) -> None:
+    """Check that the named fields are integers (N >= 1) and store them as int.
+
+    Same rule as validate_composition: numpy integers pass; bools, floats and
+    strings do not.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(spec, name, int(value))
+    if spec.N < 1:
+        raise ValidationError(f"need N >= 1, got N={spec.N}")
+
+
 @dataclass(frozen=True, eq=False)
 class MoranGeneral:
     """Moran chain with an arbitrary (irreducible) mutation matrix."""
@@ -112,8 +129,7 @@ class MoranGeneral:
     M: MutationMatrix
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValidationError(f"need N >= 1, got N={self.N}")
+        _validate_sizes(self, "N")
 
     @property
     def d(self) -> int:
@@ -127,111 +143,109 @@ class MoranStandard:
     N: int
     m: float
     p: tuple[float, ...]
+    _expanded: MoranGeneral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValidationError(f"need N >= 1, got N={self.N}")
+        _validate_sizes(self, "N")
         if not 0.0 < self.m <= 1.0:
             raise ValidationError(f"mutation probability must be in (0, 1], got {self.m}")
-        object.__setattr__(self, "p", _validate_prob_vector(self.p, "p"))
+        p = _validate_prob_vector(self.p, "p")
+        object.__setattr__(self, "p", p)
+        mat = (1.0 - self.m) * np.eye(len(p)) + self.m * np.tile(p, (len(p), 1))
+        object.__setattr__(self, "_expanded", MoranGeneral(self.N, MutationMatrix(mat)))
 
     @property
     def d(self) -> int:
         return len(self.p)
 
     def expand(self) -> MoranGeneral:
-        d = self.d
-        mat = (1.0 - self.m) * np.eye(d) + self.m * np.tile(self.p, (d, 1))
-        return MoranGeneral(self.N, MutationMatrix(mat))
+        return self._expanded
 
 
-def _urn_post_init(spec):
-    if spec.N < 1:
-        raise ValidationError(f"need N >= 1, got N={spec.N}")
-    if not 1 <= spec.s <= spec.N:
-        raise ValidationError(f"need 1 <= s <= N, got s={spec.s}, N={spec.N}")
-
-
-@dataclass(frozen=True)
-class PolyaLevel:
-    """Mark s balls, make s reinforced additions, then remove the marked balls."""
-
-    N: int
-    s: int
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        _urn_post_init(self)
-        object.__setattr__(self, "alpha", _validate_weights(self.alpha, "alpha"))
-
-    @property
-    def d(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class PolyaUpDown:
-    """s reinforced additions first, then remove s balls uniformly out of N+s."""
-
-    N: int
-    s: int
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        _urn_post_init(self)
-        object.__setattr__(self, "alpha", _validate_weights(self.alpha, "alpha"))
-
-    @property
-    def d(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class PolyaDownUp:
-    """Remove s balls uniformly, then make s reinforced additions."""
-
-    N: int
-    s: int
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        _urn_post_init(self)
-        object.__setattr__(self, "alpha", _validate_weights(self.alpha, "alpha"))
-
-    @property
-    def d(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class Ehrenfest:
-    """Pick s balls uniformly and redistribute each independently by p."""
-
-    N: int
-    s: int
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        _urn_post_init(self)
-        object.__setattr__(self, "p", _validate_prob_vector(self.p, "p"))
-
-    @property
-    def d(self) -> int:
-        return len(self.p)
-
-
-ModelSpec = Union[MoranGeneral, MoranStandard, PolyaLevel, PolyaUpDown, PolyaDownUp, Ehrenfest]
-
-_POLYA_SPECS = (PolyaLevel, PolyaUpDown, PolyaDownUp)
-
-_MODEL_TAGS = {
-    MoranGeneral: "moran_general",
-    MoranStandard: "moran_standard",
-    PolyaLevel: "polya_level",
-    PolyaUpDown: "polya_updown",
-    PolyaDownUp: "polya_downup",
-    Ehrenfest: "ehrenfest",
+# JSON tag of each urn family by (order, reinforced).
+_URN_TAGS = {
+    ("level", True): "polya_level",
+    ("updown", True): "polya_updown",
+    ("downup", True): "polya_downup",
+    ("downup", False): "ehrenfest",
 }
+
+
+@dataclass(frozen=True)
+class UrnSpec:
+    """Urn chain: remove s balls uniformly and make s weighted additions.
+
+    ``order`` places the removal relative to the additions: ``downup``
+    removes first; ``updown`` adds first and removes s of the N + s balls;
+    ``level`` marks s balls, adds, then removes the marked balls, so the
+    additions see the full urn.  An addition picks urn i with probability
+    proportional to weights[i] + inc * (balls in urn i), where inc is 1 for
+    reinforced (Polya) draws and 0 otherwise; non-reinforced weights are a
+    probability vector (the Ehrenfest redistribution law).
+    """
+
+    N: int
+    s: int
+    weights: tuple[float, ...]
+    order: str
+    reinforced: bool
+    weight_total: float = field(init=False, repr=False, compare=False)
+    inc: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.order, self.reinforced) not in _URN_TAGS:
+            raise ValidationError(
+                f"no urn family with order={self.order!r}, reinforced={self.reinforced!r}")
+        _validate_sizes(self, "N", "s")
+        if not 1 <= self.s <= self.N:
+            raise ValidationError(f"need 1 <= s <= N, got s={self.s}, N={self.N}")
+        if self.reinforced:
+            weights = _validate_weights(self.weights, "alpha")
+        else:
+            weights = _validate_prob_vector(self.weights, "p")
+        object.__setattr__(self, "weights", weights)
+        # A redistribution law is used as given, its total taken as exactly 1.
+        object.__setattr__(self, "weight_total",
+                           math.fsum(weights) if self.reinforced else 1.0)
+        # Weight an addition adds to the urn it picks.
+        object.__setattr__(self, "inc", 1.0 if self.reinforced else 0.0)
+
+    @property
+    def d(self) -> int:
+        return len(self.weights)
+
+    def add_weights(self, counts, n_balls: int) -> tuple[list[float], float]:
+        """Addition weights and their total with ``counts`` (n_balls balls) in the urns.
+
+        Only reinforced draws see the balls: weights[i] + counts[i], else weights.
+        """
+        if self.reinforced:
+            return ([w + c for w, c in zip(self.weights, counts)],
+                    self.weight_total + n_balls)
+        return list(self.weights), self.weight_total
+
+
+def PolyaLevel(N: int, s: int, alpha) -> UrnSpec:
+    """Mark s balls, make s reinforced additions, then remove the marked balls."""
+    return UrnSpec(N, s, alpha, "level", True)
+
+
+def PolyaUpDown(N: int, s: int, alpha) -> UrnSpec:
+    """s reinforced additions first, then remove s balls uniformly out of N+s."""
+    return UrnSpec(N, s, alpha, "updown", True)
+
+
+def PolyaDownUp(N: int, s: int, alpha) -> UrnSpec:
+    """Remove s balls uniformly, then make s reinforced additions."""
+    return UrnSpec(N, s, alpha, "downup", True)
+
+
+def Ehrenfest(N: int, s: int, p) -> UrnSpec:
+    """Pick s balls uniformly and redistribute each independently by p."""
+    return UrnSpec(N, s, p, "downup", False)
+
+
+ModelSpec = Union[MoranGeneral, MoranStandard, UrnSpec]
 
 
 def expand_standard(spec: ModelSpec) -> ModelSpec:
@@ -243,20 +257,13 @@ def expand_standard(spec: ModelSpec) -> ModelSpec:
 
 def spec_to_json(spec: ModelSpec) -> dict:
     """JSON document for a model spec (inverse of spec_from_json)."""
-    tag = _MODEL_TAGS[type(spec)]
-    doc: dict = {"model": tag, "N": spec.N}
     if isinstance(spec, MoranGeneral):
-        doc["mutation_matrix"] = [list(row) for row in spec.M.rows]
-    elif isinstance(spec, MoranStandard):
-        doc["m"] = spec.m
-        doc["p"] = list(spec.p)
-    elif isinstance(spec, Ehrenfest):
-        doc["s"] = spec.s
-        doc["p"] = list(spec.p)
-    else:
-        doc["s"] = spec.s
-        doc["alpha"] = list(spec.alpha)
-    return doc
+        return {"model": "moran_general", "N": spec.N,
+                "mutation_matrix": [list(row) for row in spec.M.rows]}
+    if isinstance(spec, MoranStandard):
+        return {"model": "moran_standard", "N": spec.N, "m": spec.m, "p": list(spec.p)}
+    return {"model": _URN_TAGS[spec.order, spec.reinforced], "N": spec.N, "s": spec.s,
+            "alpha" if spec.reinforced else "p": list(spec.weights)}
 
 
 def spec_from_json(doc: dict) -> ModelSpec:
@@ -264,19 +271,16 @@ def spec_from_json(doc: dict) -> ModelSpec:
     if not isinstance(doc, dict) or "model" not in doc:
         raise ValidationError("model document must be an object with a 'model' tag")
     tag = doc["model"]
+    urns = {t: key for key, t in _URN_TAGS.items()}
     try:
         if tag == "moran_general":
-            return MoranGeneral(int(doc["N"]), MutationMatrix(doc["mutation_matrix"]))
+            return MoranGeneral(doc["N"], MutationMatrix(doc["mutation_matrix"]))
         if tag == "moran_standard":
-            return MoranStandard(int(doc["N"]), float(doc["m"]), tuple(doc["p"]))
-        if tag == "polya_level":
-            return PolyaLevel(int(doc["N"]), int(doc["s"]), tuple(doc["alpha"]))
-        if tag == "polya_updown":
-            return PolyaUpDown(int(doc["N"]), int(doc["s"]), tuple(doc["alpha"]))
-        if tag == "polya_downup":
-            return PolyaDownUp(int(doc["N"]), int(doc["s"]), tuple(doc["alpha"]))
-        if tag == "ehrenfest":
-            return Ehrenfest(int(doc["N"]), int(doc["s"]), tuple(doc["p"]))
+            return MoranStandard(doc["N"], float(doc["m"]), tuple(doc["p"]))
+        if tag in urns:
+            order, reinforced = urns[tag]
+            weights = doc["alpha" if reinforced else "p"]
+            return UrnSpec(doc["N"], doc["s"], tuple(weights), order, reinforced)
     except KeyError as exc:
         raise ValidationError(f"model document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -305,10 +309,6 @@ class TransitionRow:
             total += p
         if abs(total - 1.0) > _ROW_SUM_TOL:
             raise ValidationError(f"row from {self.source!r} sums to {total!r}")
-
-
-def model_dims(spec: ModelSpec) -> tuple[int, int]:
-    return spec.N, spec.d
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +374,24 @@ def _multinomial_coef(a: tuple[int, ...]) -> int:
     return c
 
 
-def _multinomial_pmf(a: tuple[int, ...], p: tuple[float, ...]) -> float:
-    out = float(_multinomial_coef(a))
-    for ai, pi in zip(a, p):
-        out *= pi**ai
-    return out
-
-
-def _rising(b: float, k: int) -> float:
+def _rising(b: float, k: int, inc: float) -> float:
+    """Rising factorial b (b + inc) ... (b + (k-1) inc)."""
     out = 1.0
     for t in range(k):
-        out *= b + t
+        out *= b + t * inc
     return out
 
 
-def _dm_pmf(a: tuple[int, ...], beta: list[float], beta_total: float) -> float:
-    """Dirichlet-multinomial pmf of counts a under weights beta (reinforced draws)."""
+def _add_pmf(a: tuple[int, ...], beta: list[float], total: float, inc: float) -> float:
+    """Law of the counts a of sequential draws by weights beta (sum total).
+
+    Each draw adds inc to the weight it picks: Dirichlet-multinomial at
+    inc = 1 (reinforced draws, real weights allowed), multinomial at inc = 0.
+    """
     out = float(_multinomial_coef(a))
     for ai, bi in zip(a, beta):
-        out *= _rising(bi, ai)
-    return out / _rising(beta_total, sum(a))
+        out *= _rising(bi, ai, inc)
+    return out / _rising(total, sum(a), inc)
 
 
 def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
@@ -403,73 +401,44 @@ def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
     return num / denom
 
 
-def ehrenfest_row(spec: Ehrenfest, x: Composition) -> TransitionRow:
-    """Row of the redistribution chain: hypergeometric removal, multinomial addition."""
-    N, d, s = spec.N, spec.d, spec.s
+def urn_row(spec: UrnSpec, x: Composition) -> TransitionRow:
+    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order."""
+    if not isinstance(spec, UrnSpec):
+        raise ValidationError(f"urn_row needs an urn spec, got {type(spec).__name__}")
+    N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
     x = validate_composition(x, N, d)
-    denom = math.comb(N, s)
-    adds = [(a, _multinomial_pmf(a, spec.p)) for a in compositions_of(s, d)]
     probs: dict = {}
-    for r in bounded_compositions(s, x):
-        pr = _hypergeom_pmf(r, x, denom)
-        if pr == 0.0:
-            continue
+
+    def adds(counts, n_balls):
+        beta, total = spec.add_weights(counts, n_balls)
+        return [(a, _add_pmf(a, beta, total, inc)) for a in compositions_of(s, d)]
+
+    def removals(counts, n_balls):
+        denom = math.comb(n_balls, s)
+        for r in bounded_compositions(s, counts):
+            pr = _hypergeom_pmf(r, counts, denom)
+            if pr > 0.0:
+                yield r, pr
+
+    if spec.order == "updown":
+        for a, pa in adds(x, N):
+            grown = tuple(xi + ai for xi, ai in zip(x, a))
+            for r, pr in removals(grown, N + s):
+                succ = tuple(g - ri for g, ri in zip(grown, r))
+                probs[succ] = probs.get(succ, 0.0) + pa * pr
+        return TransitionRow(x, probs)
+    # Level-order additions see the urn before the marked balls leave, and
+    # non-reinforced additions see no balls at all: one law serves every removal.
+    shared = adds(x, N) if spec.order == "level" or not spec.reinforced else None
+    for r, pr in removals(x, N):
         base = tuple(xi - ri for xi, ri in zip(x, r))
-        for a, pa in adds:
+        for a, pa in shared or adds(base, N - s):
             succ = tuple(b + ai for b, ai in zip(base, a))
             probs[succ] = probs.get(succ, 0.0) + pr * pa
     return TransitionRow(x, probs)
 
 
-def polya_row(spec, x: Composition) -> TransitionRow:
-    """Row of a sequential Polya urn chain (level, up-down, or down-up order)."""
-    if not isinstance(spec, _POLYA_SPECS):
-        raise ValidationError(f"polya_row needs a Polya spec, got {type(spec).__name__}")
-    N, d, s = spec.N, spec.d, spec.s
-    x = validate_composition(x, N, d)
-    alpha = spec.alpha
-    alpha_total = math.fsum(alpha)
-    probs: dict = {}
-
-    if isinstance(spec, PolyaLevel):
-        # Marks are drawn from the original configuration; additions reinforce
-        # the full weights alpha + x (marked balls still present).
-        denom = math.comb(N, s)
-        beta = [a + xi for a, xi in zip(alpha, x)]
-        adds = [(a, _dm_pmf(a, beta, alpha_total + N)) for a in compositions_of(s, d)]
-        for r in bounded_compositions(s, x):
-            pr = _hypergeom_pmf(r, x, denom)
-            if pr == 0.0:
-                continue
-            base = tuple(xi - ri for xi, ri in zip(x, r))
-            for a, pa in adds:
-                succ = tuple(b + ai for b, ai in zip(base, a))
-                probs[succ] = probs.get(succ, 0.0) + pr * pa
-    elif isinstance(spec, PolyaDownUp):
-        denom = math.comb(N, s)
-        for r in bounded_compositions(s, x):
-            pr = _hypergeom_pmf(r, x, denom)
-            if pr == 0.0:
-                continue
-            base = tuple(xi - ri for xi, ri in zip(x, r))
-            beta = [a + b for a, b in zip(alpha, base)]
-            for a in compositions_of(s, d):
-                pa = _dm_pmf(a, beta, alpha_total + N - s)
-                succ = tuple(b + ai for b, ai in zip(base, a))
-                probs[succ] = probs.get(succ, 0.0) + pr * pa
-    else:  # PolyaUpDown
-        denom = math.comb(N + s, s)
-        beta = [a + xi for a, xi in zip(alpha, x)]
-        for a in compositions_of(s, d):
-            pa = _dm_pmf(a, beta, alpha_total + N)
-            grown = tuple(xi + ai for xi, ai in zip(x, a))
-            for r in bounded_compositions(s, grown):
-                pr = _hypergeom_pmf(r, grown, denom)
-                if pr == 0.0:
-                    continue
-                succ = tuple(g - ri for g, ri in zip(grown, r))
-                probs[succ] = probs.get(succ, 0.0) + pa * pr
-    return TransitionRow(x, probs)
+polya_row = ehrenfest_row = urn_row
 
 
 def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
@@ -477,15 +446,12 @@ def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
         return moran_row(spec, x)
-    if isinstance(spec, Ehrenfest):
-        return ehrenfest_row(spec, x)
-    return polya_row(spec, x)
+    return urn_row(spec, x)
 
 
 def mean_drift(spec: MoranGeneral, x: Composition) -> np.ndarray:
     """Conditional mean of the next Moran state: ((1 - 1/N) I + M^T / N) x."""
-    if isinstance(spec, MoranStandard):
-        spec = spec.expand()
+    spec = expand_standard(spec)
     N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
     xv = np.asarray(x, dtype=float)
@@ -536,16 +502,19 @@ def _hypergeom_counts(rng, x: Composition, s: int) -> list[int]:
     return r
 
 
-def _reinforced_add_counts(rng, base_weights: list[float], total: float, s: int) -> list[int]:
-    """Counts of s sequential weighted draws, each adding unit weight to its urn."""
-    w = list(base_weights)
-    a = [0] * len(w)
-    for _ in range(s):
+def _add_counts(rng, spec: UrnSpec, counts, n_balls: int, out: list[int]) -> None:
+    """The spec's s sequential additions, drawn with ``counts`` (n_balls balls) in the urns.
+
+    Each draw adds the spec's increment to the weight it picks; the added
+    balls go into the count list ``out``.
+    """
+    w, total = spec.add_weights(counts, n_balls)
+    inc = spec.inc
+    for _ in range(spec.s):
         i = pick_index(rng.random() * total, w)
-        w[i] += 1.0
-        a[i] += 1
-        total += 1.0
-    return a
+        w[i] += inc
+        out[i] += 1
+        total += inc
 
 
 def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Composition:
@@ -567,29 +536,17 @@ def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Co
         out[death] -= 1
         return tuple(out)
 
-    if isinstance(spec, Ehrenfest):
-        r = _hypergeom_counts(rng, x, spec.s)
-        out = [xi - ri for xi, ri in zip(x, r)]
-        for _ in range(spec.s):
-            out[pick_index(rng.random(), spec.p)] += 1
-        return tuple(out)
-
-    alpha = spec.alpha
-    alpha_total = math.fsum(alpha)
-    if isinstance(spec, PolyaLevel):
-        r = _hypergeom_counts(rng, x, spec.s)
-        a = _reinforced_add_counts(rng, [ai + xi for ai, xi in zip(alpha, x)],
-                                   alpha_total + N, spec.s)
-        return tuple(xi - ri + ai for xi, ri, ai in zip(x, r, a))
-    if isinstance(spec, PolyaDownUp):
-        r = _hypergeom_counts(rng, x, spec.s)
-        base = [xi - ri for xi, ri in zip(x, r)]
-        a = _reinforced_add_counts(rng, [ai + bi for ai, bi in zip(alpha, base)],
-                                   alpha_total + N - spec.s, spec.s)
-        return tuple(b + ai for b, ai in zip(base, a))
-    # PolyaUpDown
-    a = _reinforced_add_counts(rng, [ai + xi for ai, xi in zip(alpha, x)],
-                               alpha_total + N, spec.s)
-    grown = tuple(xi + ai for xi, ai in zip(x, a))
-    r = _hypergeom_counts(rng, grown, spec.s)
-    return tuple(g - ri for g, ri in zip(grown, r))
+    s = spec.s
+    out = list(x)
+    if spec.order == "updown":
+        _add_counts(rng, spec, x, N, out)
+        r = _hypergeom_counts(rng, out, s)
+        return tuple(g - ri for g, ri in zip(out, r))
+    r = _hypergeom_counts(rng, x, s)
+    for i, ri in enumerate(r):
+        out[i] -= ri
+    if spec.order == "level":
+        _add_counts(rng, spec, x, N, out)
+    else:
+        _add_counts(rng, spec, out, N - s, out)
+    return tuple(out)

@@ -27,16 +27,7 @@ from .errors import (
     PerronConvergenceError,
     ValidationError,
 )
-from .kernels import (
-    Ehrenfest,
-    ModelSpec,
-    MoranGeneral,
-    MoranStandard,
-    MutationMatrix,
-    PolyaDownUp,
-    PolyaLevel,
-    PolyaUpDown,
-)
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, MutationMatrix, UrnSpec
 from .statespace import Composition, minimal_element, validate_composition
 
 _EIGEN_ROW_TOL = 1e-10
@@ -188,21 +179,6 @@ class EigenData:
         }
 
 
-def _check_rows(ed: EigenData, spec: MoranGeneral) -> None:
-    """Spot-check the eigen identity sum_y K(x,y) f(y) = lam f(x) on a few states."""
-    N, d = spec.N, spec.d
-    probes = [minimal_element(N, d), (N,) + (0,) * (d - 1)]
-    base, extra = divmod(N, d)
-    probes.append(tuple(base + (1 if i < extra else 0) for i in range(d)))
-    for x in probes:
-        row = kernels.moran_row(spec, x)
-        kf = math.fsum(p * ed.value(y) for y, p in row.probs.items())
-        if abs(kf - ed.lam * ed.value(x)) > _EIGEN_ROW_TOL:
-            raise EigenConsistencyError(
-                f"eigen identity violated at {x}: Kf={kf!r}, lam*f={ed.lam * ed.value(x)!r}"
-            )
-
-
 def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
     """Monotone eigenfunction of the Moran chain with mutation matrix M.
 
@@ -236,7 +212,14 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
         f0=n_total * a_d,
         N=n_total,
     )
-    _check_rows(ed, MoranGeneral(n_total, M))
+    base, extra = divmod(n_total, d)
+    probes = [minimal_element(n_total, d), (n_total,) + (0,) * (d - 1),
+              tuple(base + (1 if i < extra else 0) for i in range(d))]
+    residual = eigen_residual(MoranGeneral(n_total, M), ed, probes)
+    if residual > _EIGEN_ROW_TOL:
+        raise EigenConsistencyError(
+            f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over {probes}"
+        )
     return ed
 
 
@@ -244,8 +227,12 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
     """Second eigenvalue and monotone eigenfunction for any model spec.
 
     Urn families share the eigenfunction f(x) = sum_{i<d} x_i - N (1 - p_d)
-    with p the normalized urn weights (Polya) or the redistribution law
-    (Ehrenfest); the second eigenvalue follows the family formula.
+    with p the normalized urn weights, and the second eigenvalue
+
+        lam = 1 - s T / (pool (inc base + T)),
+
+    T the weight total, inc the draw increment and (pool, base) = (N, N) for
+    level, (N, N - s) for down-up and (N + s, N) for up-down order.
     """
     if isinstance(spec, MoranGeneral):
         return build_eigenfunction(spec.M, spec.N)
@@ -254,21 +241,16 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
     if isinstance(spec, MoranStandard):
         lam = 1.0 - spec.m / N
         p_last = spec.p[-1]
-    elif isinstance(spec, Ehrenfest):
-        lam = 1.0 - spec.s / N
-        p_last = spec.p[-1]
+    elif isinstance(spec, UrnSpec):
+        # base is formed in integers before it meets T, so down-up with
+        # s = N gives lam = 0 exactly rather than a rounded negative.
+        s, total = spec.s, spec.weight_total
+        pool = N + s if spec.order == "updown" else N
+        base = N - s if spec.order == "downup" else N
+        lam = 1.0 - (s * total) / (pool * (total + spec.inc * base))
+        p_last = spec.weights[-1] / total
     else:
-        total = math.fsum(spec.alpha)
-        s = spec.s
-        if isinstance(spec, PolyaLevel):
-            lam = 1.0 - (s * total) / (N * (N + total))
-        elif isinstance(spec, PolyaDownUp):
-            lam = 1.0 - (s * total) / (N * (N + total - s))
-        elif isinstance(spec, PolyaUpDown):
-            lam = 1.0 - (s * total) / ((N + s) * (N + total))
-        else:
-            raise ValidationError(f"unsupported model spec {type(spec).__name__}")
-        p_last = spec.alpha[-1] / total
+        raise ValidationError(f"unsupported model spec {type(spec).__name__}")
 
     a_d = -(1.0 - p_last)
     return EigenData(

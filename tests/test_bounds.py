@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,9 +19,11 @@ from monochain import (
     minimal_element,
     model_eigendata,
     multinomial_log_pmf,
+    spec_to_json,
     steps_to_epsilon,
     tv_bound_coefficients,
 )
+from monochain.cli import main
 from helpers import delta_construction_matrix, random_model
 
 
@@ -146,3 +149,28 @@ def test_report_json_shape():
         "steps_necessary", "steps_sufficient", "steps_crude",
     }
     assert isinstance(doc["steps_necessary"], int)
+
+
+@pytest.mark.parametrize("n,alpha", [
+    (13, (2.973171594528768, 0.6240160095938077)),
+    (14, (1.4155485830426733, 1.6804100319883228)),
+    (15, (4.777086633466709, 1.1487182572383519)),
+    (16, (4.768922512117597, 1.9032415340471847)),
+    (29, (3.084, 1.273)),
+])
+def test_full_swap_downup_eigenvalue_is_exactly_zero(n, alpha, tmp_path, capsys):
+    # Down-up with s = N replaces every ball: the chain is stationary after one
+    # step, so lambda is exactly 0 and one step suffices from any start.
+    spec = PolyaDownUp(n, n, alpha)
+    assert model_eigendata(spec).lam == 0.0
+    for x in [(n, 0), (0, n), (n // 2, n - n // 2)]:
+        report = bound_report(spec, x, 0.01)
+        lower, upper = tv_bound_coefficients(model_eigendata(spec), x)
+        assert report.steps_necessary == (0 if lower <= 0.01 else 1)
+        assert report.steps_sufficient == (0 if upper <= 0.01 else 1)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": spec_to_json(spec), "start": [n, 0]}))
+    assert main(["bounds", "--config", str(config)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == 0.0 and doc["steps_sufficient"] == 1

@@ -266,6 +266,14 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
     bad5 = _write(tmp_path, dict(HUBBELL, start=[0, 10.5, 0, 9.5, 80]), "b5.json")
     assert main(["bounds", "--config", bad5]) == 2
+    capsys.readouterr()
+    # N and s must be JSON integers: floats, bools and numeric strings exit 2.
+    for field, value in [("N", 100.0), ("N", 100.7), ("N", True), ("N", "100"),
+                         ("s", 1.0), ("s", True), ("s", "1")]:
+        model = dict(HUBBELL["model"], **{field: value})
+        bad = _write(tmp_path, dict(HUBBELL, model=model), "b6.json")
+        assert main(["bounds", "--config", bad]) == 2, (field, value)
+        assert "must be an integer" in capsys.readouterr().err
 
 
 def test_json_numbers_are_rounded_to_12_significant_digits(tmp_path, capsys):
@@ -275,3 +283,4 @@ def test_json_numbers_are_rounded_to_12_significant_digits(tmp_path, capsys):
     crude = doc["crude_coeff"]
     assert crude == float(f"{crude:.12g}")
     assert abs(crude - 2.2186e19) / 2.2186e19 < 1e-3
+

@@ -12,6 +12,7 @@ from monochain import (
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
+    UrnSpec,
     ValidationError,
     ehrenfest_row,
     enumerate_states,
@@ -219,3 +220,49 @@ def test_spec_validation_errors():
         spec_from_json({"model": "nope", "N": 3})
     with pytest.raises(ValidationError):
         moran_row(MoranGeneral(3, M2), (1, 1))  # wrong total
+    # N and s must be integers: no float, bool or numeric string is coerced.
+    for bad in (8.0, 8.7, True, "8"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            MoranGeneral(bad, M2)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            spec_from_json({"model": "moran_standard", "N": bad, "m": 0.5, "p": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            spec_from_json({"model": "ehrenfest", "N": bad, "s": 1, "p": [0.5, 0.5]})
+    for bad in (1.0, 1.5, True, "1"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PolyaLevel(5, bad, (1.0, 1.0))
+        with pytest.raises(ValidationError, match="must be an integer"):
+            spec_from_json({"model": "polya_updown", "N": 5, "s": bad, "alpha": [1.0, 2.0]})
+    # numpy integers are integers.
+    spec = spec_from_json({"model": "polya_downup", "N": np.int64(5), "s": np.int32(2),
+                           "alpha": [1.0, 2.0]})
+    assert spec == PolyaDownUp(5, 2, (1.0, 2.0)) and type(spec.N) is int
+
+
+def test_urn_constructors_share_one_spec():
+    families = {
+        "polya_level": PolyaLevel(5, 2, (1.0, 2.0)),
+        "polya_updown": PolyaUpDown(5, 2, (1.0, 2.0)),
+        "polya_downup": PolyaDownUp(5, 2, (1.0, 2.0)),
+        "ehrenfest": Ehrenfest(5, 2, (0.25, 0.75)),
+    }
+    for tag, spec in families.items():
+        assert isinstance(spec, UrnSpec)
+        assert spec_to_json(spec)["model"] == tag
+        assert UrnSpec(spec.N, spec.s, spec.weights, spec.order, spec.reinforced) == spec
+    assert len(set(families.values())) == 4
+    for order, reinforced in [("level", False), ("updown", False), ("sideways", True)]:
+        with pytest.raises(ValidationError, match="no urn family"):
+            UrnSpec(5, 2, (0.25, 0.75), order, reinforced)
+    with pytest.raises(ValidationError, match="must sum to 1"):
+        Ehrenfest(5, 2, (1.0, 2.0))
+
+
+def test_standard_spec_expands_once():
+    spec = MoranStandard(6, 0.4, (0.3, 0.7))
+    assert spec.expand() is spec.expand()
+    assert spec == MoranStandard(6, 0.4, (0.3, 0.7))
+    assert "MutationMatrix" not in repr(spec)
+    expected = (1.0 - 0.4) * np.eye(2) + 0.4 * np.array([[0.3, 0.7], [0.3, 0.7]])
+    assert np.array_equal(spec.expand().M.matrix, expected)
+    assert mean_drift(spec, (2, 4)) == pytest.approx(mean_drift(spec.expand(), (2, 4)))
