@@ -13,6 +13,7 @@ overrides.  Exit codes: 0 success, 2 validation failure, 3 capability failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -38,6 +39,8 @@ from .kernels import (
     ModelSpec,
     MoranGeneral,
     MoranStandard,
+    as_integer,
+    as_real,
     expand_standard,
     spec_from_json,
     transition_row,
@@ -117,20 +120,24 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         spec=spec,
         start=start,
-        epsilon=float(pick("epsilon", "epsilon", 0.01)),
-        seed=int(pick("seed", "seed", 0)),
-        replicates=int(pick("replicates", "replicates", 200)),
-        max_steps=int(pick("max_steps", "max_steps", 10_000)),
-        n_max=int(pick("n_max", "n_max", 200)),
+        epsilon=as_real(pick("epsilon", "epsilon", 0.01), "epsilon"),
+        seed=as_integer(pick("seed", "seed", 0), "seed"),
+        replicates=as_integer(pick("replicates", "replicates", 200), "replicates"),
+        max_steps=as_integer(pick("max_steps", "max_steps", 10_000), "max_steps"),
+        n_max=as_integer(pick("n_max", "n_max", 200), "n_max"),
         start_upper=start_upper,
         output=pick("output", "output", None),
         trajectories=pick("trajectories", "trajectories", None),
         summary=pick("summary", "summary", None),
     )
-    if cfg.epsilon <= 0.0:
+    for key in ("output", "trajectories", "summary"):
+        path = getattr(cfg, key)
+        if path is not None and not isinstance(path, str):
+            raise ValidationError(f"{key} must be a path string, got {path!r}")
+    if not cfg.epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {cfg.epsilon}")
-    if cfg.replicates < 1 or cfg.max_steps < 0 or cfg.n_max < 0:
-        raise ValidationError("replicates must be >= 1; max_steps and n_max >= 0")
+    if cfg.replicates < 1 or min(cfg.max_steps, cfg.n_max, cfg.seed) < 0:
+        raise ValidationError("replicates must be >= 1; max_steps, n_max and seed >= 0")
     return cfg
 
 
@@ -145,11 +152,19 @@ def _round_floats(obj):
     return obj
 
 
+def _open_output(path: str):
+    """Open an output file for writing; an unwritable path is invalid input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_json(doc: dict, path: str | None) -> None:
     text = json.dumps(_round_floats(doc), indent=2)
     print(text)
     if path:
-        with open(path, "w") as fh:
+        with _open_output(path) as fh:
             fh.write(text + "\n")
 
 
@@ -187,7 +202,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         decay *= ed.lam
     text = buf.getvalue()
     if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
+        with _open_output(cfg.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -209,27 +224,27 @@ def cmd_couple(cfg: RunConfig) -> int:
     first_x: list[Composition] = []
     first_y: list[Composition] = []
     violations = 0
-    traj_rows: list[tuple] = []
-    for rep, rng in enumerate(streams):
-        try:
-            traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng)
-        except CouplingOrderError:
-            # Should be impossible; surfaced in the summary so a broken build
-            # cannot hide behind a clean exit.
-            violations += 1
-            continue
-        coalescence.append(coal)
-        if len(traj) > 1:
-            first_x.append(traj[1].x)
-            first_y.append(traj[1].y)
-        for row in coupling.trajectory_csv_rows(traj, coal):
-            traj_rows.append((rep,) + row)
-
-    if cfg.trajectories:
-        with open(cfg.trajectories, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if cfg.trajectories:
+            # Each replicate's rows are written as soon as it finishes.
+            writer = csv.writer(stack.enter_context(_open_output(cfg.trajectories)))
             writer.writerow(["replicate", "step", "x", "y", "coalesced"])
-            writer.writerows(traj_rows)
+        for rep, rng in enumerate(streams):
+            try:
+                traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng)
+            except CouplingOrderError:
+                # Should be impossible; surfaced in the summary so a broken
+                # build cannot hide behind a clean exit.
+                violations += 1
+                continue
+            coalescence.append(coal)
+            if len(traj) > 1:
+                first_x.append(traj[1].x)
+                first_y.append(traj[1].y)
+            if writer:
+                writer.writerows((rep,) + row
+                                 for row in coupling.trajectory_csv_rows(traj, coal))
 
     coalesced = [c for c in coalescence if c is not None]
     quantiles = {}

@@ -6,13 +6,16 @@ while each coordinate still moves by its own exact kernel.  Coalescence (the
 first step with equal states) therefore bounds the total variation distance
 between the two laws.
 
-Labels 1..N are reassigned fresh from the current pair at every step:
-population 1 numbers its individuals through the species blocks in order;
-population 2 reuses the shared labels where the counts agree and parks its
-surplus individuals (one per unit of y_i - x_i, i < d) on population 1's
-unused species-d labels in ascending species order.  Every label then either
+Labels 0..N-1 are reassigned fresh from the current pair at every step and
+held as at most 2d block boundaries, never label by label.  Population 1
+numbers its individuals through the species blocks of x in order, so a label
+bisects the cumulative counts of x.  Population 2 shares every label below
+the cut N - x_d + y_d and parks its surplus individuals (one per unit of
+y_i - x_i, i < d) on the labels from the cut up in ascending species order,
+so those labels bisect the cumulative surpluses.  Every label then either
 carries the same species in both populations or species d in population 1 and
 some species < d in population 2 -- the property all removal steps rely on.
+A coupled step costs O(d + s log d), whatever N is.
 
 Shared categorical decisions use one uniform each.  When the two populations
 draw from different distributions p (population 1) and q (population 2) with
@@ -25,19 +28,16 @@ case population 2 lands on the same i.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
-from .kernels import (
-    ModelSpec,
-    MoranGeneral,
-    MutationMatrix,
-    UrnSpec,
-    expand_standard,
-    pick_index,
-)
+from .kernels import (ModelSpec, MoranGeneral, MutationMatrix, UrnSpec, expand_standard,
+                      pick_index)
 from .spectral import classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
 
@@ -51,7 +51,8 @@ class Labeling(NamedTuple):
     """Per-label species for both populations (0-based labels and species).
 
     Labels 0..k1+k2-1 carry equal species; labels k1+k2..N-1 carry species
-    d-1 in population 1 and a species < d-1 in population 2.
+    d-1 in population 1 and a species < d-1 in population 2.  Written out
+    label by label from the block form in O(N): for tests, not for stepping.
     """
 
     pop1: tuple[int, ...]
@@ -70,24 +71,24 @@ def build_labeling(x: Composition, y: Composition) -> Labeling:
     y = validate_composition(y, sum(x), len(x))
     if not partial_leq(x, y):
         raise ValidationError(f"pair is not ordered: {x} !<= {y}")
-    pop1, pop2, k1, k2 = _labels(x, y)
-    return Labeling(tuple(pop1), tuple(pop2), k1, k2)
+    blocks = _blocks(x, y)
+    pairs = [_species(*blocks, lbl) for lbl in range(sum(x))]
+    return Labeling(tuple(s1 for s1, _ in pairs), tuple(s2 for _, s2 in pairs),
+                    sum(x) - x[-1], y[-1])
 
 
-def _labels(x, y):
-    """Unvalidated labeling core; returns lists for the hot path."""
-    d = len(x)
-    pop1 = []
-    for sp in range(d):
-        pop1 += [sp] * x[sp]
-    k1 = len(pop1) - x[d - 1]
-    k2 = y[d - 1]
-    pop2 = pop1[: k1 + k2]
-    for sp in range(d - 1):
-        extra = y[sp] - x[sp]
-        if extra:
-            pop2 += [sp] * extra
-    return pop1, pop2, k1, k2
+def _blocks(x, y) -> tuple[list[int], int, list[int]]:
+    """Block form of the labeling: (block ends of x, cut, surplus ends)."""
+    ends = list(accumulate(x))
+    return ends, ends[-1] - x[-1] + y[-1], list(accumulate(map(sub, y[:-1], x)))
+
+
+def _species(ends, cut, surplus, lbl: int) -> tuple[int, int]:
+    """(population 1 species, population 2 species) of a label below N."""
+    sp = bisect_right(ends, lbl)
+    if lbl < cut:
+        return sp, sp
+    return sp, bisect_right(surplus, lbl - cut)
 
 
 def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
@@ -115,16 +116,18 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
 
 
 def _draw_distinct(rng, n: int, k: int) -> list[int]:
-    """k distinct labels from range(n) via partial Fisher-Yates."""
-    idx = list(range(n))
+    """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only."""
+    moved: dict[int, int] = {}
+    out = []
     for t in range(k):
         j = t + int(rng.integers(0, n - t))
-        idx[t], idx[j] = idx[j], idx[t]
-    return idx[:k]
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(t, t)
+    return out
 
 
-def _check_order(x, y, last) -> None:
-    for i in range(last):
+def _check_order(x, y) -> None:
+    for i in range(len(x) - 1):
         if x[i] > y[i]:
             raise CouplingOrderError(f"coupled step broke the order: {x} !<= {y}")
 
@@ -138,42 +141,40 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     invalid.  Marginals follow the exact Moran row of each population.
     """
     x, y = pair
-    d = M.d
-    n = sum(x)
     rows = M.rows
-    pop1, pop2, _, _ = _labels(x, y)
+    ends, cut, surplus = _blocks(x, y)
+    n = ends[-1]
 
     death = int(rng.integers(0, n))
     parent = int(rng.integers(0, n))
     u = rng.random()
 
-    s1 = pop1[parent]
-    s2 = pop2[parent]
+    s1, s2 = _species(ends, cut, surplus, parent)
     if s1 == s2:
         # Shared label range: both offspring mutate through the same row.
         born1 = born2 = pick_index(u, rows[s1])
     else:
         # Extra label: population 1's parent is species d, population 2's is
         # s2 < d, whose row dominates row d off the last column.
-        born1, born2 = dominated_pick(u, rows[d - 1], rows[s2])
+        born1, born2 = dominated_pick(u, rows[-1], rows[s2])
 
+    dead1, dead2 = _species(ends, cut, surplus, death)
     xn = list(x)
     xn[born1] += 1
-    xn[pop1[death]] -= 1
+    xn[dead1] -= 1
     yn = list(y)
     yn[born2] += 1
-    yn[pop2[death]] -= 1
-    _check_order(xn, yn, d - 1)
+    yn[dead2] -= 1
+    _check_order(xn, yn)
     return CoupledPair(tuple(xn), tuple(yn))
 
 
-def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, labels=None) -> None:
+def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -> None:
     """s shared additions drawn with counts cx, cy (n_balls balls) in the urns.
 
-    Population 1 draws by the weights of cx, population 2 by those of cy, and
-    each draw adds the spec's increment to the weight it picks.  The added
-    balls go into the count lists out1 and out2; with ``labels`` = (pop1,
-    pop2) each also takes the next label, extending the labeling.
+    Population 1 draws by the weights of cx, population 2 by those of cy; each
+    draw adds the spec's increment to the weight it picks.  The balls go into
+    the count lists out1 and out2, and their urn pairs onto ``added`` if given.
     """
     w1, total = spec.add_weights(cx, n_balls)
     w2, _ = spec.add_weights(cy, n_balls)
@@ -184,9 +185,8 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, labels=None) 
         w2[i2] += inc
         out1[i1] += 1
         out2[i2] += 1
-        if labels:
-            labels[0].append(i1)
-            labels[1].append(i2)
+        if added is not None:
+            added.append((i1, i2))
         total += inc
 
 
@@ -194,30 +194,30 @@ def coupled_urn_step(spec: UrnSpec, pair: CoupledPair, rng: np.random.Generator)
     """One coupled urn step (level, up-down, or down-up order).
 
     All orders share mark labels and one uniform per addition; they differ
-    only in when the marked balls leave relative to the additions.  The
-    up-down order extends the labeling over the s freshly added balls (which
-    satisfy the same per-label species property) before marking out of N + s.
-    Non-reinforced additions draw from the same weights in both populations,
-    so both land on the same urn.
+    only in when the marked balls leave relative to the additions.  Up-down
+    gives the s added balls labels N..N+s-1 (same per-label species property)
+    before marking out of N + s.  Non-reinforced additions draw from the same
+    weights in both populations, so both land on the same urn.
     """
     x, y = pair
     n, s = spec.N, spec.s
-    pop1, pop2, _, _ = _labels(x, y)
-    xn = list(x)
-    yn = list(y)
+    ends, cut, surplus = _blocks(x, y)
+    xn, yn = list(x), list(y)
+    added: list[tuple[int, int]] = []
     if spec.order == "updown":
-        _coupled_adds(spec, x, y, n, xn, yn, rng, labels=(pop1, pop2))
-        n += s  # the marks fall among the N + s balls now present
-    for lbl in _draw_distinct(rng, n, s):
-        xn[pop1[lbl]] -= 1
-        yn[pop2[lbl]] -= 1
+        _coupled_adds(spec, x, y, n, xn, yn, rng, added)
+    # Under up-down the marks fall among the N + s balls now present.
+    for lbl in _draw_distinct(rng, n + len(added), s):
+        s1, s2 = _species(ends, cut, surplus, lbl) if lbl < n else added[lbl - n]
+        xn[s1] -= 1
+        yn[s2] -= 1
     if spec.order == "level":
         # The additions reinforce the pre-removal weights (marked balls still
         # present while the draws happen).
         _coupled_adds(spec, x, y, n, xn, yn, rng)
     elif spec.order == "downup":
         _coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
-    _check_order(xn, yn, len(xn) - 1)
+    _check_order(xn, yn)
     return CoupledPair(tuple(xn), tuple(yn))
 
 

@@ -37,12 +37,31 @@ _ROW_SUM_TOL = 1e-10
 _PROB_VEC_TOL = 1e-12
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int, by the rule validate_composition uses.
+
+    Numpy integers pass; bools, floats and strings do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """value as a float: ints and numpy reals pass; bools and strings do not."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _validate_weights(w, name: str) -> tuple[float, ...]:
-    wt = tuple(float(v) for v in w)
+    wt = tuple(as_real(v, f"{name} entry") for v in w)
     if len(wt) < 2:
         raise ValidationError(f"{name} needs at least 2 entries, got {wt!r}")
-    if any(v <= 0.0 for v in wt):
-        raise ValidationError(f"{name} entries must be positive, got {wt!r}")
+    if not all(0.0 < v < math.inf for v in wt):
+        raise ValidationError(f"{name} entries must be positive and finite, got {wt!r}")
     return wt
 
 
@@ -68,10 +87,12 @@ class MutationMatrix:
             raise ValidationError(f"malformed mutation matrix: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"mutation matrix must be square, got shape {m.shape}")
+        for v in np.asarray(entries, dtype=object).flat:
+            as_real(v, "mutation matrix entry")
         d = m.shape[0]
         if d < 2:
             raise ValidationError("mutation matrix needs d >= 2")
-        if np.any(m < 0.0):
+        if not np.all(m >= 0.0):  # NaN fails too
             raise ValidationError("mutation matrix entries must be >= 0")
         sums = m.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > _PROB_VEC_TOL:
@@ -107,16 +128,9 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 
 
 def _validate_sizes(spec, *names: str) -> None:
-    """Check that the named fields are integers (N >= 1) and store them as int.
-
-    Same rule as validate_composition: numpy integers pass; bools, floats and
-    strings do not.
-    """
+    """Check that the named fields are integers (N >= 1) and store them as int."""
     for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(spec, name, int(value))
+        object.__setattr__(spec, name, as_integer(getattr(spec, name), name))
     if spec.N < 1:
         raise ValidationError(f"need N >= 1, got N={spec.N}")
 
@@ -147,6 +161,7 @@ class MoranStandard:
 
     def __post_init__(self):
         _validate_sizes(self, "N")
+        object.__setattr__(self, "m", as_real(self.m, "m"))
         if not 0.0 < self.m <= 1.0:
             raise ValidationError(f"mutation probability must be in (0, 1], got {self.m}")
         p = _validate_prob_vector(self.p, "p")
@@ -276,7 +291,7 @@ def spec_from_json(doc: dict) -> ModelSpec:
         if tag == "moran_general":
             return MoranGeneral(doc["N"], MutationMatrix(doc["mutation_matrix"]))
         if tag == "moran_standard":
-            return MoranStandard(doc["N"], float(doc["m"]), tuple(doc["p"]))
+            return MoranStandard(doc["N"], doc["m"], tuple(doc["p"]))
         if tag in urns:
             order, reinforced = urns[tag]
             weights = doc["alpha" if reinforced else "p"]

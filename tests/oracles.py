@@ -19,6 +19,21 @@ def species_of_labels(x) -> list[int]:
     return out
 
 
+def pair_labels(x, y, added=()) -> tuple[list[int], list[int]]:
+    """Explicit shared labelling of an ordered pair x <= y, one entry per label.
+
+    Population 1 is species_of_labels(x).  Population 2 keeps population 1's
+    species on the labels below the cut N - x_d + y_d and puts its surplus
+    individuals (y_i - x_i of species i < d, ascending) on the labels from the
+    cut up.  ``added`` holds the (population 1, population 2) urns of balls
+    added before an up-down removal; they take the labels N, N+1, ...
+    """
+    pop1 = species_of_labels(x)
+    cut = len(pop1) - x[-1] + y[-1]
+    pop2 = pop1[:cut] + species_of_labels([b - a for a, b in zip(x[:-1], y)])
+    return pop1 + [a for a, _ in added], pop2 + [b for _, b in added]
+
+
 def _mark_prob(n_balls: int, s: int) -> Fraction:
     pr = Fraction(1)
     for t in range(s):

@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from monochain import build_matrix, stationary
+import monochain
+from monochain import CouplingOrderError, build_matrix, coupling, stationary
 from monochain.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -28,6 +33,16 @@ DELTA_MORAN = {
     },
     "start": [1, 2, 3],
     "epsilon": 0.01,
+}
+
+
+COUPLE = {
+    "model": {"model": "polya_level", "N": 6, "s": 2, "alpha": [1.0, 2.0, 1.5]},
+    "start": [0, 0, 6],
+    "start_upper": [2, 2, 2],
+    "seed": 5,
+    "replicates": 3,
+    "max_steps": 20,
 }
 
 
@@ -201,6 +216,95 @@ def test_couple_rejects_unordered_pair(tmp_path, capsys):
     assert "not ordered" in capsys.readouterr().err
 
 
+# sha256 of (stdout, trajectories CSV) of `couple` runs: any change to the
+# seeded draws, the summary or the CSV layout shows here.
+COUPLE_DIGESTS = [
+    (json.loads((CONFIG_DIR / "couple_small.json").read_text()),
+     "f8cdaa0b23e47d8bb8f3c30f1dc5e1b81cef70d5d14a7802df6b11386bba271d",
+     "9e577ff4d747799c22e11fdff8805c7fee66b30c07dfc95b65227dab875a3f55"),
+    ({"model": {"model": "moran_standard", "N": 100, "m": 0.3, "p": [0.25, 0.35, 0.4]},
+      "start": [0, 0, 100], "start_upper": [40, 30, 30], "seed": 11,
+      "replicates": 6, "max_steps": 80},
+     "53c468635d76222faf494ab6c3ba6ffa0fa437b227057185827e590c866a94bf",
+     "e92b51ffff617db5f4532a452761bca8184924bbc1309496e98da3520c407320"),
+    # Four of the eight replicates coalesce within the budget.
+    ({"model": {"model": "polya_updown", "N": 20, "s": 3, "alpha": [1.5, 2.0, 1.0]},
+      "start": [0, 0, 20], "start_upper": [10, 6, 4], "seed": 5,
+      "replicates": 8, "max_steps": 80},
+     "7fb8caabd6a52f2d3fcb56295baa43a4155a8ba3be2e32f494a31e49c7cbbe65",
+     "2d6b1b87e5f37a5537554ce107f95bf212fbdc7f5c7e207afa2fd6d352e01293"),
+]
+
+
+@pytest.mark.parametrize("doc,stdout_sha,csv_sha", COUPLE_DIGESTS,
+                         ids=["couple_small", "moran_standard", "polya_updown"])
+def test_couple_outputs_match_pinned_digests(tmp_path, capsys, doc, stdout_sha, csv_sha):
+    cfg = _write(tmp_path, doc)
+    traj = tmp_path / "traj.csv"
+    assert main(["couple", "--config", cfg, "--trajectories", str(traj)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(traj.read_bytes()).hexdigest() == csv_sha
+
+
+def test_couple_builds_no_rows_without_trajectories(tmp_path, capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("trajectory rows built without --trajectories")
+
+    monkeypatch.setattr(coupling, "trajectory_csv_rows", no_rows)
+    assert main(["couple", "--config", _write(tmp_path, COUPLE)]) == 0
+    assert json.loads(capsys.readouterr().out)["replicates"] == 3
+
+
+def test_couple_failed_replicate_writes_no_rows(tmp_path, capsys, monkeypatch):
+    run_coupled = coupling.run_coupled
+    calls = []
+
+    def second_breaks_order(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise CouplingOrderError("injected")
+        return run_coupled(*args)
+
+    monkeypatch.setattr(coupling, "run_coupled", second_breaks_order)
+    traj = tmp_path / "traj.csv"
+    assert main(["couple", "--config", _write(tmp_path, COUPLE),
+                 "--trajectories", str(traj)]) == 1
+    assert json.loads(capsys.readouterr().out)["order_violations"] == 1
+    rows = list(csv.reader(traj.read_text().splitlines()))
+    assert {row[0] for row in rows[1:]} == {"0", "2"}
+
+
+def test_couple_at_a_billion_individuals_in_bounded_memory(tmp_path):
+    # The coupler holds block boundaries, not N labels: N = 10^9 runs in a
+    # child process whose address space is capped at 2 GB.
+    resource = pytest.importorskip("resource")
+    n = 10**9
+    doc = {
+        "model": {"model": "moran_standard", "N": n, "m": 0.3, "p": [0.25, 0.35, 0.4]},
+        "start": [0, 0, n],
+        "start_upper": [n // 2, 2 * n // 5, n // 10],
+        "seed": 3,
+        "replicates": 2,
+        "max_steps": 5,
+    }
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "monochain.cli", "couple", "--config", _write(tmp_path, doc),
+         "--trajectories", str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["order_violations"] == 0 and summary["coalesced"] == 0
+    rows = (tmp_path / "traj.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 6
+
+
 def test_spectral_standard_choice(tmp_path, capsys):
     doc = {
         "model": {"model": "moran_standard", "N": 100, "m": 0.7, "p": [0.2] * 5},
@@ -274,6 +378,45 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         bad = _write(tmp_path, dict(HUBBELL, model=model), "b6.json")
         assert main(["bounds", "--config", bad]) == 2, (field, value)
         assert "must be an integer" in capsys.readouterr().err
+    # Run settings are not coerced either: seed, replicates, max_steps and n_max
+    # must be integers, epsilon a real number; seed must not be negative.
+    couple = _write(tmp_path, COUPLE, "couple.json")
+    assert main(["couple", "--config", couple]) == 0
+    capsys.readouterr()
+    for field, value, message in [
+        ("replicates", 2.7, "must be an integer"),
+        ("replicates", 2.0, "must be an integer"),
+        ("max_steps", True, "must be an integer"),
+        ("seed", 1.9, "must be an integer"),
+        ("seed", "1", "must be an integer"),
+        ("seed", None, "must be an integer"),
+        ("n_max", "3", "must be an integer"),
+        ("epsilon", True, "must be a real number"),
+        ("epsilon", "0.01", "must be a real number"),
+        ("epsilon", None, "must be a real number"),
+        ("seed", -1, "seed >= 0"),
+    ]:
+        bad = _write(tmp_path, dict(COUPLE, **{field: value}), "b7.json")
+        for command in ("couple", "bounds"):
+            assert main([command, "--config", bad]) == 2, (command, field, value)
+            assert message in capsys.readouterr().err, (command, field, value)
+    assert main(["couple", "--config", couple, "--seed", "-3"]) == 2
+    capsys.readouterr()
+
+
+def test_bad_output_paths_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_dir" / "out")
+    couple = _write(tmp_path, COUPLE, "couple.json")
+    assert main(["couple", "--config", couple, "--trajectories", missing]) == 2
+    assert main(["couple", "--config", couple, "--summary", missing]) == 2
+    assert main(["bounds", "--config", couple, "--output", missing]) == 2
+    assert main(["exact", "--config", couple, "--output", missing]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    # A number is not a path: it would open (and close) that file descriptor.
+    for key in ("output", "trajectories", "summary"):
+        bad = _write(tmp_path, dict(COUPLE, **{key: 2}), "b8.json")
+        assert main(["couple", "--config", bad]) == 2
+        assert "must be a path string" in capsys.readouterr().err
 
 
 def test_json_numbers_are_rounded_to_12_significant_digits(tmp_path, capsys):

@@ -19,8 +19,21 @@ from monochain import (
     partial_leq,
     run_coupled,
 )
-from monochain.coupling import trajectory_csv_rows
-from helpers import delta_construction_matrix, random_ordered_pair
+from monochain.coupling import (
+    _blocks,
+    _coupled_adds,
+    _draw_distinct,
+    _species,
+    trajectory_csv_rows,
+)
+from monochain.kernels import pick_index
+from helpers import (
+    delta_construction_matrix,
+    random_dominated_matrix,
+    random_ordered_pair,
+    random_prob_vector,
+)
+from oracles import pair_labels
 
 MORAN = MoranGeneral(8, delta_construction_matrix(0.05))
 FAMILIES = [
@@ -218,3 +231,101 @@ def test_trajectory_csv_rows():
     traj = [CoupledPair((0, 2), (1, 1)), CoupledPair((1, 1), (1, 1))]
     rows = list(trajectory_csv_rows(traj, 1))
     assert rows == [(0, "0;2", "1;1", 0), (1, "1;1", "1;1", 1)]
+
+
+# ---------------------------------------------------------------------------
+# The block form of the labelling against explicit label lists
+# ---------------------------------------------------------------------------
+
+def dense_draw_distinct(rng, n, k):
+    """Partial Fisher-Yates over a materialised range(n)."""
+    idx = list(range(n))
+    for t in range(k):
+        j = t + int(rng.integers(0, n - t))
+        idx[t], idx[j] = idx[j], idx[t]
+    return idx[:k]
+
+
+def dense_coupled_step(spec, pair, rng):
+    """One coupled step read off explicit label lists (same draws as coupled_step)."""
+    x, y = pair
+    xn, yn = list(x), list(y)
+    if isinstance(spec, MoranGeneral):
+        pop1, pop2 = pair_labels(x, y)
+        death = int(rng.integers(0, len(pop1)))
+        parent = int(rng.integers(0, len(pop1)))
+        u = rng.random()
+        rows = spec.M.rows
+        if pop1[parent] == pop2[parent]:
+            born1 = born2 = pick_index(u, rows[pop1[parent]])
+        else:
+            born1, born2 = dominated_pick(u, rows[-1], rows[pop2[parent]])
+        xn[born1] += 1
+        yn[born2] += 1
+        xn[pop1[death]] -= 1
+        yn[pop2[death]] -= 1
+        return CoupledPair(tuple(xn), tuple(yn))
+    n, s = spec.N, spec.s
+    added = []
+    if spec.order == "updown":
+        _coupled_adds(spec, x, y, n, xn, yn, rng, added)
+    pop1, pop2 = pair_labels(x, y, added)
+    for lbl in dense_draw_distinct(rng, len(pop1), s):
+        xn[pop1[lbl]] -= 1
+        yn[pop2[lbl]] -= 1
+    if spec.order == "level":
+        _coupled_adds(spec, x, y, n, xn, yn, rng)
+    elif spec.order == "downup":
+        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
+    return CoupledPair(tuple(xn), tuple(yn))
+
+
+def test_block_map_matches_explicit_label_lists():
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(0, 41))
+        x, y = random_ordered_pair(rng, n, d)
+        pop1, pop2 = pair_labels(x, y)
+        blocks = _blocks(x, y)
+        expected = tuple(zip(pop1, pop2))
+        assert tuple(_species(*blocks, lbl) for lbl in range(n)) == expected
+        assert build_labeling(x, y).assignments == expected
+
+
+def test_coupled_steps_match_explicit_label_lists():
+    # Every family, including the up-down extension over the added balls:
+    # the block coupler and the list coupler agree draw for draw.
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 41))
+        s = int(rng.integers(1, n + 1))
+        alpha = tuple(rng.uniform(0.4, 3.0, size=d))
+        spec = [
+            MoranGeneral(n, random_dominated_matrix(rng, d)),
+            PolyaLevel(n, s, alpha),
+            PolyaUpDown(n, s, alpha),
+            PolyaDownUp(n, s, alpha),
+            Ehrenfest(n, s, random_prob_vector(rng, d)),
+        ][trial % 5]
+        pair = CoupledPair(*random_ordered_pair(rng, n, d))
+        rng_blocks = np.random.default_rng(trial)
+        rng_lists = np.random.default_rng(trial)
+        for _ in range(20):
+            expected = dense_coupled_step(spec, pair, rng_lists)
+            pair = coupled_step(spec, pair, rng_blocks)
+            assert pair == expected, (spec, pair, expected)
+
+
+def test_sparse_draw_distinct_matches_dense_fisher_yates():
+    for seed in range(40):
+        for n in (1, 2, 3, 5, 8, 13, 40, 100, 10_000):
+            for k in {0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 100) + 1)):
+                rng_sparse = np.random.default_rng([seed, n, k])
+                rng_dense = np.random.default_rng([seed, n, k])
+                labels = _draw_distinct(rng_sparse, n, k)
+                assert labels == dense_draw_distinct(rng_dense, n, k)
+                assert len(set(labels)) == k
+                # Same generator consumption.
+                assert rng_sparse.random() == rng_dense.random()

@@ -1,8 +1,9 @@
 """Seeded draws pinned across versions.
 
 Each digest covers a 200-step ``sample_step`` chain and a 200-step
-``coupled_step`` chain from fixed seeds and start states.  A refactor of the
-kernels or couplers that keeps every draw must keep every digest.
+``coupled_step`` chain from fixed seeds and start states, at N = 8, 100 and
+10^4.  A refactor of the kernels or couplers that keeps every draw must keep
+every digest.
 """
 import hashlib
 
@@ -58,6 +59,20 @@ DIGESTS = {
         "f27711a5bf5ec1b63cc036a584145a3ba25e150d73c8f7785263d00dd38275ac",
     ("ehrenfest", 100):
         "082af1048c2d96509706c6f3bb77592fb4b251f7ce3d06614b1675002b8c6107",
+    # N = 10^4.  Here the level and down-up chains make the same 200 steps:
+    # their addition weights differ by only s/N, and no draw falls in between.
+    ("moran_general", 10_000):
+        "dcbf7c639c43bb9df603e517e54ccdf624c3bfc21fafd3aae9f54d2fd9b93fc8",
+    ("moran_standard", 10_000):
+        "6809a285aaf13b7137d0899e9fb53be44289c7a5a118c07f899dbb7696a25e32",
+    ("polya_level", 10_000):
+        "4b91f934c87e2217a03290e6192e24010167502a32e2d1839a024a0ac7335d6e",
+    ("polya_updown", 10_000):
+        "9d2caaa3f2cbe49e10775bb347e2a9b8168fa73f5bb7baea4ef3679e5163c4cb",
+    ("polya_downup", 10_000):
+        "4b91f934c87e2217a03290e6192e24010167502a32e2d1839a024a0ac7335d6e",
+    ("ehrenfest", 10_000):
+        "7c65e074e2bef3477457c9cb42af1fbaa0abe2bd9a69ba2e71f2f2114317906a",
 }
 
 

@@ -237,6 +237,45 @@ def test_spec_validation_errors():
     spec = spec_from_json({"model": "polya_downup", "N": np.int64(5), "s": np.int32(2),
                            "alpha": [1.0, 2.0]})
     assert spec == PolyaDownUp(5, 2, (1.0, 2.0)) and type(spec.N) is int
+    # Weights, p and m must be real numbers: no string or bool is coerced.
+    for bad in ("1", True, None):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            PolyaLevel(5, 1, (bad, 2.0))
+        with pytest.raises(ValidationError, match="must be a real number"):
+            spec_from_json({"model": "polya_level", "N": 5, "s": 1, "alpha": [1.0, bad]})
+        with pytest.raises(ValidationError, match="must be a real number"):
+            spec_from_json({"model": "ehrenfest", "N": 5, "s": 1, "p": [bad, 0.5]})
+        with pytest.raises(ValidationError, match="must be a real number"):
+            spec_from_json({"model": "moran_standard", "N": 5, "m": 0.5, "p": [0.5, bad]})
+    for bad in ("0.5", True, np.True_, None):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            spec_from_json({"model": "moran_standard", "N": 5, "m": bad, "p": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="must be a real number"):
+            MoranStandard(5, bad, (0.5, 0.5))
+    with pytest.raises(ValidationError, match="must be a real number"):
+        spec_from_json({"model": "polya_level", "N": 5, "s": 1, "alpha": ["1", "2"]})
+    with pytest.raises(ValidationError, match="must be a real number"):
+        spec_from_json({"model": "polya_downup", "N": 5, "s": 1, "alpha": "12"})
+    # Ints and numpy reals are real numbers, stored as float.
+    spec = PolyaLevel(5, 1, (1, np.float32(2.5), np.int64(3)))
+    assert spec.weights == (1.0, 2.5, 3.0) and all(type(w) is float for w in spec.weights)
+    spec = spec_from_json({"model": "moran_standard", "N": 5, "m": 1, "p": [np.float64(0.5), 0.5]})
+    assert spec == MoranStandard(5, 1.0, (0.5, 0.5)) and type(spec.m) is float
+    for bad in ("0.5", True):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            spec_from_json({"model": "moran_general", "N": 5,
+                            "mutation_matrix": [[0.5, 0.5], [bad, 0.5]]})
+    assert MutationMatrix(np.array([[0.5, 0.5], [0.25, 0.75]])).rows[1] == (0.25, 0.75)
+    # NaN and infinite entries are not valid weights, probabilities or rates.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            PolyaLevel(5, 1, (bad, 1.0))
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            Ehrenfest(5, 1, (bad, 0.5))
+        with pytest.raises(ValidationError):
+            MutationMatrix([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError):
+            MoranStandard(5, bad, (0.5, 0.5))
 
 
 def test_urn_constructors_share_one_spec():
