@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from .kernels import (
     as_real,
     expand_standard,
     spec_from_json,
-    transition_row,
+    transition_prob,
 )
 from .statespace import Composition, partial_leq, validate_composition
 
@@ -230,9 +231,11 @@ def cmd_couple(cfg: RunConfig) -> int:
             # Each replicate's rows are written as soon as it finishes.
             writer = csv.writer(stack.enter_context(_open_output(cfg.trajectories)))
             writer.writerow(["replicate", "step", "x", "y", "coalesced"])
+        # Without a trajectories file only the first step is needed.
+        keep_steps = None if writer else 1
         for rep, rng in enumerate(streams):
             try:
-                traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng)
+                traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng, keep_steps)
             except CouplingOrderError:
                 # Should be impossible; surfaced in the summary so a broken
                 # build cannot hide behind a clean exit.
@@ -263,10 +266,8 @@ def cmd_couple(cfg: RunConfig) -> int:
         "lambda": ed.lam,
     }
     if first_x:
-        row_x = transition_row(spec, x0)
-        row_y = transition_row(spec, y0)
-        summary["marginal_tv_x"] = _empirical_tv(first_x, row_x.probs)
-        summary["marginal_tv_y"] = _empirical_tv(first_y, row_y.probs)
+        summary["marginal_tv_x"] = _empirical_tv(spec, x0, first_x)
+        summary["marginal_tv_y"] = _empirical_tv(spec, y0, first_y)
         gaps = [ed.value(y) - ed.value(x) for x, y in zip(first_x, first_y)]
         mean = float(np.mean(gaps))
         se = float(np.std(gaps, ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
@@ -277,13 +278,17 @@ def cmd_couple(cfg: RunConfig) -> int:
     return 0 if violations == 0 else 1
 
 
-def _empirical_tv(samples, row_probs: dict) -> float:
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
+def _empirical_tv(spec: ModelSpec, x: Composition, samples) -> float:
+    """TV between the empirical law of ``samples`` and the kernel row at x.
+
+    The row is read only at the observed successors; the mass it puts
+    elsewhere is 1 minus the mass it puts on them.
+    """
+    counts = Counter(samples)
     n = len(samples)
-    support = set(counts) | set(row_probs)
-    return 0.5 * sum(abs(counts.get(z, 0) / n - row_probs.get(z, 0.0)) for z in support)
+    probs = {z: transition_prob(spec, x, z) for z in counts}
+    return 0.5 * (sum(abs(c / n - probs[z]) for z, c in counts.items())
+                  + 1.0 - sum(probs.values()))
 
 
 def cmd_spectral(cfg: RunConfig) -> int:

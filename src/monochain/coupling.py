@@ -230,13 +230,14 @@ def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -
 
 
 def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
-                max_steps: int, rng: np.random.Generator
+                max_steps: int, rng: np.random.Generator, keep_steps: int | None = None
                 ) -> tuple[list[CoupledPair], int | None]:
     """Run a coupled trajectory until coalescence or the step budget.
 
-    Returns the trajectory (including the start pair) and the first step at
-    which the chains coincide, or None if they never do within max_steps.
-    Once equal the chains share every subsequent draw, so equality persists.
+    Returns the trajectory (the start pair, then the first ``keep_steps``
+    steps, or every step when None) and the first step at which the chains
+    coincide, or None if they never do within max_steps.  Once equal the
+    chains share every subsequent draw, so equality persists.
     """
     spec = expand_standard(spec)
     n, d = spec.N, spec.d
@@ -254,9 +255,11 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     trajectory = [pair]
     if x0 == y0:
         return trajectory, 0
+    kept = max_steps if keep_steps is None else keep_steps
     for step in range(1, max_steps + 1):
         pair = coupled_step(spec, pair, rng)
-        trajectory.append(pair)
+        if step <= kept:
+            trajectory.append(pair)
         if pair.x == pair.y:
             return trajectory, step
     return trajectory, None

@@ -1,9 +1,10 @@
-"""Desk-scale ground truth: dense kernels, stationary laws, exact TV curves.
+"""Desk-scale ground truth: sparse kernels, stationary laws, exact TV curves.
 
 Everything here materializes the full state space, so it is gated by the
-enumeration cap.  The stationary distribution comes from iterated squaring of
-the kernel (the row-spread convergence criterion doubles as an aperiodicity
-witness); TV curves use row-sparse vector products and never materialize K^n.
+enumeration cap.  The stationary distribution is one sparse direct solve of
+pi (I - K) = 0 with the last state's mass pinned, after a graph check that
+the kernel is irreducible and aperiodic; TV curves use row-sparse vector
+products.  Nothing makes the kernel dense.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import spsolve
 
 from .errors import StationaryConvergenceError, ValidationError
 from .kernels import (
@@ -30,8 +32,6 @@ from .statespace import (
 )
 
 _STATIONARY_CHECK_TOL = 1e-12
-_ROW_SPREAD_TOL = 1e-13
-_MAX_SQUARINGS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,8 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     expanded = expand_standard(spec)
     states = enumerate_states(expanded.N, expanded.d, cap=cap)
     index = {x: i for i, x in enumerate(states)}
-    rows = [transition_row(expanded, x) for x in states]
+    laws: dict = {}  # addition laws, shared by the rows of this build only
+    rows = [transition_row(expanded, x, laws) for x in states]
 
     data, cols, indptr = [], [], [0]
     for row in rows:
@@ -69,33 +70,44 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     return TransitionMatrix(spec=spec, states=states, rows=rows, csr=csr, index=index)
 
 
-def stationary(tm: TransitionMatrix) -> np.ndarray:
-    """Stationary distribution by iterated squaring of the kernel.
+def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
+    """Why the kernel's graph is not one aperiodic strong component, or None.
 
-    Squares K until all rows agree to within the spread tolerance (these rows
-    are then pi), and verifies pi K = pi to 1e-12 in max norm.  Failure to
-    converge indicates a reducible or periodic kernel.
+    The period is the gcd over edges u -> v of dist(u) + 1 - dist(v), with
+    BFS distances from state 0; a self-loop settles it at 1 directly.
     """
-    a = tm.csr.toarray()
-    for _ in range(_MAX_SQUARINGS):
-        spread = float(np.max(a.max(axis=0) - a.min(axis=0)))
-        if spread < _ROW_SPREAD_TOL:
-            break
-        a = a @ a
-        # Renormalize rows to keep stochasticity from drifting under repeated
-        # squaring.
-        a /= a.sum(axis=1, keepdims=True)
-    else:
-        raise StationaryConvergenceError(
-            f"row spreads did not fall below {_ROW_SPREAD_TOL} after "
-            f"{_MAX_SQUARINGS} squarings; kernel may be reducible or periodic"
-        )
-    pi = a.mean(axis=0)
+    n_comp, _ = connected_components(csr, directed=True, connection="strong")
+    if n_comp != 1:
+        return f"kernel is reducible ({n_comp} strong components)"
+    if np.any(csr.diagonal() > 0.0):
+        return None
+    dist = shortest_path(csr, unweighted=True, indices=0).astype(np.int64)
+    edges = csr.tocoo()
+    period = int(np.gcd.reduce(dist[edges.row] + 1 - dist[edges.col]))
+    return None if period == 1 else f"kernel is periodic (period {period})"
+
+
+def stationary(tm: TransitionMatrix) -> np.ndarray:
+    """Stationary distribution by one sparse direct solve.
+
+    Refuses a reducible or periodic kernel, pins the last state's mass at 1,
+    solves the other rows of pi (I - K) = 0 (a nonsingular minor for an
+    irreducible kernel), normalizes, and verifies pi K = pi to 1e-12 in max
+    norm with no entry below -1e-12.
+    """
+    problem = _ergodicity_problem(tm.csr)
+    if problem is not None:
+        raise StationaryConvergenceError(f"no unique limiting law: {problem}")
+    a = (sp.identity(tm.dim, format="csc") - tm.csr.T).tocsc()
+    # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
+    pi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ tm.csr - pi)))
-    if residual > _STATIONARY_CHECK_TOL:
+    # Written so that a NaN from a singular solve fails the check.
+    if not (residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL):
         raise StationaryConvergenceError(
-            f"stationarity residual {residual:.3e} exceeds {_STATIONARY_CHECK_TOL}"
+            f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
+            f"smallest entry {pi.min():.3e}"
         )
     return pi
 
@@ -123,14 +135,10 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
 
 def check_irreducible_aperiodic(spec: MoranGeneral,
                                 cap: int | None = DEFAULT_STATE_CAP) -> bool:
-    """Whether the chain's state graph is strongly connected with a self-loop."""
+    """Whether the chain's state graph is strongly connected with period 1."""
     if not isinstance(spec, (MoranGeneral, MoranStandard)):
         raise ValidationError("check targets the Moran replacement chain")
-    tm = build_matrix(spec, cap=cap)
-    n_comp, _ = connected_components(tm.csr, directed=True, connection="strong")
-    if n_comp != 1:
-        return False
-    return bool(np.any(tm.csr.diagonal() > 0.0))
+    return _ergodicity_problem(build_matrix(spec, cap=cap).csr) is None
 
 
 @dataclass(frozen=True)

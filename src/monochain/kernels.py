@@ -416,17 +416,27 @@ def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
     return num / denom
 
 
-def urn_row(spec: UrnSpec, x: Composition) -> TransitionRow:
-    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order."""
+def urn_row(spec: UrnSpec, x: Composition, laws: dict | None = None) -> TransitionRow:
+    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order.
+
+    ``laws`` memoises addition laws by (counts, n_balls) for the rows of one
+    spec that share it; down-up rows share their post-removal bases.
+    """
     if not isinstance(spec, UrnSpec):
         raise ValidationError(f"urn_row needs an urn spec, got {type(spec).__name__}")
     N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
     x = validate_composition(x, N, d)
+    if laws is None:
+        laws = {}
     probs: dict = {}
 
     def adds(counts, n_balls):
-        beta, total = spec.add_weights(counts, n_balls)
-        return [(a, _add_pmf(a, beta, total, inc)) for a in compositions_of(s, d)]
+        law = laws.get((counts, n_balls))
+        if law is None:
+            beta, total = spec.add_weights(counts, n_balls)
+            law = laws[counts, n_balls] = [(a, _add_pmf(a, beta, total, inc))
+                                           for a in compositions_of(s, d)]
+        return law
 
     def removals(counts, n_balls):
         denom = math.comb(n_balls, s)
@@ -456,12 +466,55 @@ def urn_row(spec: UrnSpec, x: Composition) -> TransitionRow:
 polya_row = ehrenfest_row = urn_row
 
 
-def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
-    """Exact one-step row for any model spec."""
+def _at_least(total: int, floor, bounds) -> Iterator[tuple[int, ...]]:
+    """Weak compositions c of ``total`` with floor <= c <= bounds entrywise."""
+    rest = total - sum(floor)
+    if rest < 0:
+        return
+    for c in bounded_compositions(rest, tuple(b - f for b, f in zip(bounds, floor))):
+        yield tuple(ci + fi for ci, fi in zip(c, floor))
+
+
+def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
+    """One entry K(x, z) of any model's kernel, without building the row.
+
+    An urn step from x to z is fixed by its removal vector r (z = x - r + a)
+    or, up-down, by its addition vector a (z = x + a - r); the sum runs over
+    those paths only, so it costs one hypergeometric and one addition pmf
+    per path, however many successors the row has.
+    """
+    spec = expand_standard(spec)
+    if isinstance(spec, MoranGeneral):
+        return moran_row(spec, x).probs.get(validate_composition(z, spec.N, spec.d), 0.0)
+    N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
+    x = validate_composition(x, N, d)
+    z = validate_composition(z, N, d)
+    out = 0.0
+    if spec.order == "updown":
+        beta, total = spec.add_weights(x, N)
+        denom = math.comb(N + s, s)
+        for a in _at_least(s, [max(0, zi - xi) for xi, zi in zip(x, z)], (s,) * d):
+            grown = tuple(xi + ai for xi, ai in zip(x, a))
+            r = tuple(g - zi for g, zi in zip(grown, z))
+            out += _add_pmf(a, beta, total, inc) * _hypergeom_pmf(r, grown, denom)
+        return out
+    denom = math.comb(N, s)
+    for r in _at_least(s, [max(0, xi - zi) for xi, zi in zip(x, z)], x):
+        base = tuple(xi - ri for xi, ri in zip(x, r))
+        # Level-order additions see the urn before the marked balls leave.
+        beta, total = (spec.add_weights(x, N) if spec.order == "level"
+                       else spec.add_weights(base, N - s))
+        a = tuple(zi - b for zi, b in zip(z, base))
+        out += _hypergeom_pmf(r, x, denom) * _add_pmf(a, beta, total, inc)
+    return out
+
+
+def transition_row(spec: ModelSpec, x: Composition, laws: dict | None = None) -> TransitionRow:
+    """Exact one-step row for any model spec; ``laws`` as in urn_row."""
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
         return moran_row(spec, x)
-    return urn_row(spec, x)
+    return urn_row(spec, x, laws)
 
 
 def mean_drift(spec: MoranGeneral, x: Composition) -> np.ndarray:

@@ -5,13 +5,30 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import monochain
-from monochain import CouplingOrderError, build_matrix, coupling, stationary
-from monochain.cli import main
+import numpy as np
+
+from monochain import (
+    CouplingOrderError,
+    Ehrenfest,
+    MoranGeneral,
+    MoranStandard,
+    PolyaDownUp,
+    PolyaLevel,
+    PolyaUpDown,
+    build_matrix,
+    coupling,
+    sample_step,
+    stationary,
+    transition_row,
+)
+from monochain.cli import _empirical_tv, main
+from helpers import delta_construction_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -303,6 +320,71 @@ def test_couple_at_a_billion_individuals_in_bounded_memory(tmp_path):
     assert summary["order_violations"] == 0 and summary["coalesced"] == 0
     rows = (tmp_path / "traj.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 6
+
+
+def test_exact_at_twelve_thousand_states_in_bounded_memory(tmp_path):
+    # N = 40, d = 4 has 12,341 states: a dense copy of the kernel alone would
+    # be 1.2 GB, over the child's 1 GB address space.
+    resource = pytest.importorskip("resource")
+    doc = {
+        "model": {"model": "polya_level", "N": 40, "s": 1, "alpha": [1.0, 2.0, 1.5, 0.5]},
+        "start": [40, 0, 0, 0],
+        "n_max": 50,
+    }
+    cap = 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "monochain.cli", "exact", "--config", _write(tmp_path, doc)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert len(rows) == 51
+    assert all(float(r["lower_bound"]) - 1e-11 <= float(r["tv_exact"])
+               <= float(r["upper_bound"]) + 1e-11 for r in rows)
+
+
+@pytest.mark.parametrize("spec,x", [
+    (MoranGeneral(6, delta_construction_matrix(0.05)), (1, 2, 3)),
+    (MoranStandard(6, 0.4, (0.3, 0.2, 0.5)), (0, 0, 6)),
+    (PolyaLevel(6, 2, (1.0, 2.0, 1.5)), (2, 2, 2)),
+    (PolyaUpDown(6, 3, (1.0, 2.0, 1.5)), (0, 1, 5)),
+    (PolyaDownUp(6, 2, (0.5, 2.0, 1.5)), (3, 0, 3)),
+    (Ehrenfest(6, 3, (0.25, 0.35, 0.4)), (6, 0, 0)),
+], ids=["moran_general", "moran_standard", "polya_level", "polya_updown", "polya_downup",
+        "ehrenfest"])
+def test_marginal_tv_matches_full_row(spec, x):
+    row = transition_row(spec, x).probs
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 400):
+        samples = [sample_step(spec, x, rng) for _ in range(n)]
+        counts = {z: samples.count(z) for z in set(samples)}
+        full = 0.5 * sum(abs(counts.get(z, 0) / n - row.get(z, 0.0))
+                         for z in set(counts) | set(row))
+        assert _empirical_tv(spec, x, samples) == pytest.approx(full, abs=1e-14)
+
+
+def test_couple_marginal_tv_at_thirty_balls_a_step(tmp_path, capsys):
+    # A full row here would hold every removal x addition vector; the
+    # marginal TV reads the row only at the observed successors.
+    doc = {
+        "model": {"model": "polya_level", "N": 1000, "s": 30, "alpha": [1.0, 2.0, 1.5, 0.5]},
+        "start": [0, 0, 0, 1000],
+        "start_upper": [300, 300, 200, 200],
+        "seed": 5,
+        "replicates": 2,
+        "max_steps": 5,
+    }
+    cfg = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main(["couple", "--config", cfg]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    summary = json.loads(capsys.readouterr().out)
+    assert 0.0 <= summary["marginal_tv_x"] <= 1.0 and 0.0 <= summary["marginal_tv_y"] <= 1.0
 
 
 def test_spectral_standard_choice(tmp_path, capsys):

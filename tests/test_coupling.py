@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,33 @@ def test_run_coupled_requires_monotone_mutation_matrix():
     ]))
     with pytest.raises(ValidationError, match="monotonicity"):
         run_coupled(bad, (0, 0, 6), (2, 2, 2), 10, np.random.default_rng(0))
+
+
+def test_run_coupled_keeps_only_the_steps_asked_for():
+    spec, x0, y0 = FAMILIES[2], (0, 0, 8), (4, 3, 1)
+    full, coal = run_coupled(spec, x0, y0, 500, np.random.default_rng(6))
+    for keep in (0, 1, 3):
+        kept, coal_kept = run_coupled(spec, x0, y0, 500, np.random.default_rng(6), keep)
+        assert kept == full[:keep + 1] and coal_kept == coal
+
+
+def test_run_coupled_memory_is_flat_in_the_step_budget():
+    # Keeping one step, a replicate of 2 * 10^5 steps (none coalescing this
+    # far apart at N = 10^4) peaks within 1 MB of one of 10^3 steps.
+    spec = PolyaDownUp(10_000, 1, (1.0, 2.0, 1.5))
+    x0, y0 = (0, 0, 10_000), (5_000, 4_000, 1_000)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            traj, coal = run_coupled(spec, x0, y0, steps, np.random.default_rng(4), 1)
+            return tracemalloc.get_traced_memory()[1], len(traj), coal
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_000), peak(200_000)
+    assert small[1:] == large[1:] == (2, None)
+    assert large[0] - small[0] <= 2**20
 
 
 def test_gap_contracts_at_eigenvalue_rate():

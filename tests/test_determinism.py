@@ -3,7 +3,7 @@
 Each digest covers a 200-step ``sample_step`` chain and a 200-step
 ``coupled_step`` chain from fixed seeds and start states, at N = 8, 100 and
 10^4.  A refactor of the kernels or couplers that keeps every draw must keep
-every digest.
+every digest.  Exact kernels are pinned the same way, by their CSR arrays.
 """
 import hashlib
 
@@ -18,8 +18,10 @@ from monochain import (
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
+    build_matrix,
     coupled_step,
     sample_step,
+    spec_from_json,
 )
 from helpers import delta_construction_matrix
 
@@ -96,3 +98,41 @@ def chain_digest(spec, n: int) -> str:
 @pytest.mark.parametrize("family,n", sorted(DIGESTS))
 def test_seeded_chains_match_pinned_digests(family, n):
     assert chain_digest(FAMILIES[family](n), n) == DIGESTS[(family, n)]
+
+
+# The six exact-solve specs of the benchmark's exact_desk workload at seed 1
+# (1,035 or 1,140 states), with the sha256 of csr.data, csr.indices and
+# csr.indptr of their build_matrix kernels.  A change to how rows are built
+# that keeps the arithmetic per entry must keep every digest.
+CSR_DIGESTS = [
+    ({"model": "moran_general", "N": 17, "mutation_matrix": [
+        [0.21510811555188497, 0.35458298387052567, 0.3026512434653538, 0.12765765711223556],
+        [0.5204535063412498, 0.0684302645003653, 0.10172829626967217, 0.30938793288871275],
+        [0.34651307862361347, 0.3008863134572954, 0.12665881921256683, 0.22594178870652426],
+        [0.1301234500055765, 0.045043706160898346, 0.0417457056878672, 0.7830871381456579]]},
+     "9960d6ed57333ff10051e7f99d6bf2ce9b09a5bae18b0c21d897d283a75ef681"),
+    ({"model": "moran_standard", "N": 44, "m": 0.5,
+      "p": [0.47036781190201393, 0.09525047748162604, 0.43438171061636005]},
+     "983f12c3440555467c8bac10ebf3570f2efb020a74b3d2fdd6f630b3d149d056"),
+    ({"model": "polya_level", "N": 44, "s": 2,
+      "alpha": [1.1858402870944753, 2.4400278426038833, 2.3741318703016416]},
+     "611aeeb6e7cf0d57afdfbeb5110271a1151d5e7774f701ff45663a18802d105c"),
+    ({"model": "polya_updown", "N": 44, "s": 2,
+      "alpha": [1.5326795472878192, 2.9957160561934617, 1.4716043965187182]},
+     "c2ecfa5f3492767f3d63ff209659ada8e861b4d6f2035026dd2a08eb471b7bdd"),
+    ({"model": "polya_downup", "N": 44, "s": 2,
+      "alpha": [2.167101854294588, 2.758580680737503, 1.0743174649679084]},
+     "e29f43c3a6615d0ea0fd9bb9bf9e3112b111faf3a6876876367b8685514d6473"),
+    ({"model": "ehrenfest", "N": 17, "s": 2,
+      "p": [0.3738088741004123, 0.18744155389444347, 0.3748585291018144, 0.06389104290332981]},
+     "fe7f4b28ee9fe29c7b3f1ac2710a50b494fe7f3ad556658e35a10f4e38d52896"),
+]
+
+
+@pytest.mark.parametrize("doc,digest", CSR_DIGESTS, ids=[d["model"] for d, _ in CSR_DIGESTS])
+def test_exact_kernels_match_pinned_digests(doc, digest):
+    csr = build_matrix(spec_from_json(doc)).csr
+    h = hashlib.sha256()
+    for a in (csr.data, csr.indices, csr.indptr):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest

@@ -96,6 +96,32 @@ def test_stationary_rejects_periodic_kernel():
         stationary(tm)
 
 
+def _hand_built(dense) -> TransitionMatrix:
+    """A TransitionMatrix over the states (k, n-1-k) from a dense row-stochastic array."""
+    dense = np.asarray(dense, dtype=float)
+    n = len(dense)
+    states = [(k, n - 1 - k) for k in range(n)]
+    rows = [TransitionRow(x, {states[j]: p for j, p in enumerate(row) if p > 0.0})
+            for x, row in zip(states, dense)]
+    return TransitionMatrix(spec=None, states=states, rows=rows, csr=sp.csr_matrix(dense),
+                            index={x: i for i, x in enumerate(states)})
+
+
+def test_stationary_rejects_reducible_kernel():
+    # Two closed classes, {0, 1} and {2}: the stationary law is not unique.
+    tm = _hand_built([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(StationaryConvergenceError):
+        stationary(tm)
+
+
+def test_stationary_accepts_aperiodic_kernel_without_self_loops():
+    # Cycles 0 -> 1 -> 0 and 0 -> 1 -> 2 -> 0 have lengths 2 and 3, so the
+    # period is 1 although no state can stay put.  pi = (0.4, 0.4, 0.2) by hand:
+    # pi_1 = pi_0, pi_2 = pi_1 / 2.
+    tm = _hand_built([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    assert np.max(np.abs(stationary(tm) - [0.4, 0.4, 0.2])) <= 1e-15
+
+
 def test_tv_curve_starts_at_complement_of_stationary_mass():
     spec = PolyaLevel(6, 1, (1.0, 2.0, 1.5))
     tm = build_matrix(spec)

@@ -24,6 +24,7 @@ from monochain import (
     spec_to_json,
     transition_row,
 )
+from monochain.kernels import transition_prob
 from helpers import random_dominated_matrix, random_positive_matrix, random_state
 from oracles import ehrenfest_row_oracle, moran_row_oracle, polya_row_oracle
 
@@ -150,6 +151,25 @@ def test_ehrenfest_rows_match_ordered_draw_oracle():
         oracle = ehrenfest_row_oracle(x, 2, p)
         for succ, pr in oracle.items():
             assert closed.get(succ, 0.0) == pytest.approx(float(pr), abs=1e-13)
+
+
+def test_transition_prob_matches_row_entries():
+    # One entry by its paths against the whole row, at every state of small
+    # specs of each family, including successors the row does not reach.
+    specs = [
+        MoranGeneral(4, random_dominated_matrix(np.random.default_rng(8), 3)),
+        MoranStandard(4, 0.4, (0.3, 0.2, 0.5)),
+        PolyaLevel(5, 2, (1.0, 2.0, 1.5)),
+        PolyaUpDown(5, 3, (1.0, 2.0, 1.5)),
+        PolyaDownUp(5, 2, (0.5, 2.0, 1.5)),
+        Ehrenfest(5, 3, (0.25, 0.35, 0.4)),
+    ]
+    for spec in specs:
+        states = enumerate_states(spec.N, spec.d)
+        for x in states:
+            row = transition_row(spec, x).probs
+            for z in states:
+                assert transition_prob(spec, x, z) == pytest.approx(row.get(z, 0.0), abs=1e-15)
 
 
 def test_sample_step_deterministic_given_seed():
