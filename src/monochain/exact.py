@@ -16,18 +16,12 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import spsolve
 
 from .errors import StationaryConvergenceError, ValidationError
-from .kernels import (
-    ModelSpec,
-    MoranGeneral,
-    MoranStandard,
-    TransitionRow,
-    expand_standard,
-    transition_row,
-)
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, expand_standard, kernel_rows
 from .statespace import (
     DEFAULT_STATE_CAP,
     Composition,
     enumerate_states,
+    ranks,
     validate_composition,
 )
 
@@ -36,11 +30,10 @@ _STATIONARY_CHECK_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Materialized kernel: states in enumeration order plus sparse row data."""
+    """Materialized kernel: states in enumeration order plus the sparse matrix."""
 
     spec: ModelSpec
     states: list[Composition]
-    rows: list[TransitionRow]
     csr: sp.csr_matrix
     index: dict = field(repr=False)
 
@@ -50,24 +43,24 @@ class TransitionMatrix:
 
 
 def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> TransitionMatrix:
-    """Exact transition matrix of a model over its full state space."""
+    """Exact transition matrix of a model over its full state space.
+
+    Rows come from kernels.kernel_rows a block of states at a time; a
+    successor's column is its colex rank, which is its enumeration index.
+    """
     expanded = expand_standard(spec)
     states = enumerate_states(expanded.N, expanded.d, cap=cap)
-    index = {x: i for i, x in enumerate(states)}
-    laws: dict = {}  # addition laws, shared by the rows of this build only
-    rows = [transition_row(expanded, x, laws) for x in states]
-
-    data, cols, indptr = [], [], [0]
-    for row in rows:
-        for succ, p in row.probs.items():
-            cols.append(index[succ])
-            data.append(p)
-        indptr.append(len(cols))
+    lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
+    for n, succ, probs in kernel_rows(expanded, np.array(states, dtype=np.int64)):
+        lengths.append(n)
+        cols.append(ranks(succ, expanded.N))
+        data.append(probs)
     csr = sp.csr_matrix(
-        (np.asarray(data), np.asarray(cols), np.asarray(indptr)),
+        (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),
         shape=(len(states), len(states)),
     )
-    return TransitionMatrix(spec=spec, states=states, rows=rows, csr=csr, index=index)
+    return TransitionMatrix(spec=spec, states=states, csr=csr,
+                            index={x: i for i, x in enumerate(states)})
 
 
 def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:

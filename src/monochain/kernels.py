@@ -233,6 +233,7 @@ class UrnSpec:
         """Addition weights and their total with ``counts`` (n_balls balls) in the urns.
 
         Only reinforced draws see the balls: weights[i] + counts[i], else weights.
+        counts[i] may be an array of the counts of urn i over many states.
         """
         if self.reinforced:
             return ([w + c for w, c in zip(self.weights, counts)],
@@ -416,51 +417,173 @@ def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
     return num / denom
 
 
-def urn_row(spec: UrnSpec, x: Composition, laws: dict | None = None) -> TransitionRow:
-    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order.
+# Paths (states x paths per state) held at once while rows are built, so the
+# memory of a build follows this budget, not the size of the state space.
+_PATH_BUDGET = 1 << 17
 
-    ``laws`` memoises addition laws by (counts, n_balls) for the rows of one
-    spec that share it; down-up rows share their post-removal bases.
+
+def _moran_offsets(d: int) -> np.ndarray:
+    """Successor offsets of the Moran paths: e_i - e_j, j outer and i inner, then staying."""
+    eye = np.eye(d, dtype=np.int64)
+    return np.concatenate([(eye[None, :, :] - eye[:, None, :]).reshape(d * d, d),
+                           np.zeros((1, d), dtype=np.int64)])
+
+
+def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Moran paths from each state with their probabilities, as moran_row forms them.
+
+    Returns (row, path, prob) over the paths that moran_row keeps, state by
+    state in path order; path j * d + i is death j and offspring i, d * d
+    is staying.
     """
+    N, d = spec.N, spec.d
+    mt = spec.M.matrix.T
+    # One product per state: a single matrix product would sum in another order.
+    target = np.array([mt @ (xf / N) for xf in x.astype(float)])
+    prob = (x / N)[:, :, None] * target[:, None, :]  # [state, death j, offspring i]
+    valid = (x != 0)[:, :, None] & ~np.eye(d, dtype=bool) & (prob > 0.0)
+    off_total = np.zeros(len(x))
+    for j in range(d):
+        for i in range(d):
+            off_total += np.where(valid[:, j, i], prob[:, j, i], 0.0)
+    stay = 1.0 - off_total
+    prob = np.concatenate([prob.reshape(-1, d * d), stay[:, None]], axis=1)
+    row, path = np.nonzero(np.concatenate([valid.reshape(-1, d * d),
+                                           (stay > 1e-13)[:, None]], axis=1))
+    return row, path, prob[row, path]
+
+
+def _urn_offsets(spec: UrnSpec) -> np.ndarray:
+    """Successor offsets a - r of the urn paths: removal-major, addition-major up-down."""
+    comps = np.array(list(compositions_of(spec.s, spec.d)), dtype=np.int64)
+    if spec.order == "updown":
+        diff = comps[:, None, :] - comps[None, :, :]
+    else:
+        diff = comps[None, :, :] - comps[:, None, :]
+    return diff.reshape(-1, spec.d)
+
+
+def _removal_probs(counts: np.ndarray, n_balls: int, s: int, comps: np.ndarray) -> np.ndarray:
+    """Hypergeometric law of each removal vector in comps (new last axis) from counts (..., d).
+
+    Numerators are exact integer products: int64 while comb(n_balls, s) is below
+    2**53, where the float division rounds as Python's int division does (a
+    numerator never exceeds it), and Python ints beyond.  A removal vector
+    that does not fit under the counts gets probability 0.
+    """
+    denom = math.comb(n_balls, s)
+    values, where = np.unique(counts, return_inverse=True)
+    table = [[math.comb(v, k) for k in range(s + 1)] for v in values.tolist()]
+    exact = denom < 2**53 and max(map(max, table)) < 2**63
+    table = np.array(table, dtype=np.int64 if exact else object)
+    where = where.reshape(counts.shape)
+    num = table[where[..., 0, None], comps[:, 0]]
+    for i in range(1, comps.shape[1]):
+        # int64 products of a misfit vector may wrap before its zero factor; they end at 0.
+        num = num * table[where[..., i, None], comps[:, i]]
+    pr = num / denom
+    return pr if exact else pr.astype(float)
+
+
+def _addition_probs(spec: UrnSpec, counts: np.ndarray, n_balls: int,
+                    comps: np.ndarray) -> np.ndarray:
+    """Law of each addition vector in comps (new last axis) with counts (..., d) in the urns.
+
+    Same arithmetic, in the same order, as _add_pmf.
+    """
+    s, inc = spec.s, spec.inc
+    beta, total = spec.add_weights(np.moveaxis(counts, -1, 0), n_balls)
+    out = np.array([float(_multinomial_coef(a)) for a in comps.tolist()])
+    for i, b in enumerate(beta):
+        rising = np.ones(np.shape(b) + (s + 1,))
+        for t in range(s):
+            rising[..., t + 1] = rising[..., t] * (b + t * inc)
+        out = out * rising[..., comps[:, i]]
+    return out / _rising(total, s, inc)
+
+
+def _urn_paths(spec: UrnSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The urn paths from each state with their probabilities, as _add_pmf and _hypergeom_pmf form them.
+
+    Returns (row, path, prob) over the paths whose removal fits, state by
+    state in path order: removal r outer and addition a inner, path
+    r * n + a over the n compositions of s (up-down: a outer, path a * n + r).
+    """
+    N, d, s = spec.N, spec.d, spec.s
+    comps = np.array(list(compositions_of(s, d)), dtype=np.int64)
+    n = len(comps)
+    if spec.order == "updown":
+        pa = _addition_probs(spec, x, N, comps)  # [state, a]
+        pr = _removal_probs(x[:, None, :] + comps, N + s, s, comps)  # [state, a, r]
+        row, a, r = np.nonzero(pr > 0.0)
+        return row, a * n + r, pa[row, a] * pr[row, a, r]
+    pr = _removal_probs(x, N, s, comps)  # [state, r]
+    row, r = np.nonzero(pr > 0.0)
+    # Level-order additions see the urn before the marked balls leave.
+    if spec.order == "level":
+        pa = _addition_probs(spec, x, N, comps)[row]
+    else:
+        pa = _addition_probs(spec, x[row] - comps[r], N - s, comps)
+    prob = pr[row, r][:, None] * pa  # [fitting (state, r), a]
+    return np.repeat(row, n), (r[:, None] * n + np.arange(n)).ravel(), prob.ravel()
+
+
+def _check_rows(x: np.ndarray, row: np.ndarray, probs: np.ndarray) -> None:
+    """Every entry > 0 and every row sum within _ROW_SUM_TOL of 1 (a NaN fails both)."""
+    bad = ~(probs > 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"row from {tuple(x[row[k]].tolist())} has an entry {probs[k]!r}, must be > 0")
+    sums = np.bincount(row, weights=probs, minlength=len(x))
+    off = ~(np.abs(sums - 1.0) <= _ROW_SUM_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValidationError(f"row from {tuple(x[i].tolist())} sums to {sums[i]!r}")
+
+
+def kernel_rows(spec: ModelSpec, states: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact kernel rows of ``states`` (an S x d array of the spec's compositions).
+
+    A row sums its paths: a death and an offspring species for Moran, a
+    removal and an addition vector for the urns.  Yields, for each block of
+    consecutive states, (lengths, successors, probabilities): the entry count
+    of each state, then its entries in the order of the first path to each
+    successor.  Paths to one successor are summed in path order, so every
+    entry equals a per-state sum in a dict.  Blocks hold at most
+    _PATH_BUDGET paths (one state at least).  Raises ValidationError when an
+    entry is not > 0 or a row does not sum to 1 within 1e-10.
+    """
+    spec = expand_standard(spec)
+    if isinstance(spec, MoranGeneral):
+        offsets, paths = _moran_offsets(spec.d), _moran_paths
+    else:
+        offsets, paths = _urn_offsets(spec), _urn_paths
+    # Paths with equal offsets lead to one successor, whatever the state.
+    code = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
+    block = max(1, _PATH_BUDGET // len(offsets))
+    for lo in range(0, len(states), block):
+        x = states[lo:lo + block]
+        row, path, prob = paths(spec, x)
+        _, first, inverse = np.unique(row * len(offsets) + code[path],
+                                      return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, weights=prob)
+        order = np.argsort(first)
+        first = first[order]
+        probs = sums[order]
+        row = row[first]
+        _check_rows(x, row, probs)
+        yield np.bincount(row, minlength=len(x)), x[row] + offsets[path[first]], probs
+
+
+def urn_row(spec: UrnSpec, x: Composition) -> TransitionRow:
+    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order."""
     if not isinstance(spec, UrnSpec):
         raise ValidationError(f"urn_row needs an urn spec, got {type(spec).__name__}")
-    N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
-    x = validate_composition(x, N, d)
-    if laws is None:
-        laws = {}
-    probs: dict = {}
-
-    def adds(counts, n_balls):
-        law = laws.get((counts, n_balls))
-        if law is None:
-            beta, total = spec.add_weights(counts, n_balls)
-            law = laws[counts, n_balls] = [(a, _add_pmf(a, beta, total, inc))
-                                           for a in compositions_of(s, d)]
-        return law
-
-    def removals(counts, n_balls):
-        denom = math.comb(n_balls, s)
-        for r in bounded_compositions(s, counts):
-            pr = _hypergeom_pmf(r, counts, denom)
-            if pr > 0.0:
-                yield r, pr
-
-    if spec.order == "updown":
-        for a, pa in adds(x, N):
-            grown = tuple(xi + ai for xi, ai in zip(x, a))
-            for r, pr in removals(grown, N + s):
-                succ = tuple(g - ri for g, ri in zip(grown, r))
-                probs[succ] = probs.get(succ, 0.0) + pa * pr
-        return TransitionRow(x, probs)
-    # Level-order additions see the urn before the marked balls leave, and
-    # non-reinforced additions see no balls at all: one law serves every removal.
-    shared = adds(x, N) if spec.order == "level" or not spec.reinforced else None
-    for r, pr in removals(x, N):
-        base = tuple(xi - ri for xi, ri in zip(x, r))
-        for a, pa in shared or adds(base, N - s):
-            succ = tuple(b + ai for b, ai in zip(base, a))
-            probs[succ] = probs.get(succ, 0.0) + pr * pa
-    return TransitionRow(x, probs)
+    x = validate_composition(x, spec.N, spec.d)
+    ((_, succ, probs),) = kernel_rows(spec, np.array([x], dtype=np.int64))
+    return TransitionRow(x, dict(zip(map(tuple, succ.tolist()), probs.tolist())))
 
 
 polya_row = ehrenfest_row = urn_row
@@ -509,12 +632,12 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     return out
 
 
-def transition_row(spec: ModelSpec, x: Composition, laws: dict | None = None) -> TransitionRow:
-    """Exact one-step row for any model spec; ``laws`` as in urn_row."""
+def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
+    """Exact one-step row for any model spec."""
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
         return moran_row(spec, x)
-    return urn_row(spec, x, laws)
+    return urn_row(spec, x)
 
 
 def mean_drift(spec: MoranGeneral, x: Composition) -> np.ndarray:

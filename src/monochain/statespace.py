@@ -14,12 +14,16 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 
 Composition = tuple[int, ...]
 
-# Largest state space enumerate_states will materialize by default; keeps the
-# dense machinery in the exact module at desk scale.
+# Largest state space enumerate_states will materialize by default.  The exact
+# module keeps every state, the sparse kernel and the LU factors of its
+# stationary solve; the factors fill in fast as d grows, so at d >= 5 a space
+# near this cap is not yet solvable on a desk machine.
 DEFAULT_STATE_CAP = 200_000
 
 
@@ -94,6 +98,22 @@ def rank(x: Composition) -> int:
         # Number of length-k prefixes with a smaller last coordinate:
         # sum_{t<v} C(remaining - t + k - 1, k - 1), telescoped.
         r += math.comb(remaining + k, k) - math.comb(remaining - v + k, k)
+        remaining -= v
+    return r
+
+
+def ranks(z: np.ndarray, n_total: int) -> np.ndarray:
+    """Colex ranks of the compositions of n_total in the last axis of z, as rank gives them."""
+    d = z.shape[-1]
+    # comb(m + k, k) for m = 0..n_total and k < d, by the hockey-stick identity.
+    combs = np.ones((n_total + 1, d), dtype=np.int64)
+    for k in range(1, d):
+        combs[:, k] = np.cumsum(combs[:, k - 1])
+    remaining = np.full(z.shape[:-1], n_total, dtype=np.int64)
+    r = np.zeros(z.shape[:-1], dtype=np.int64)
+    for k in range(d - 1, 0, -1):
+        v = z[..., k - 1]
+        r += combs[remaining, k] - combs[remaining - v, k]
         remaining -= v
     return r
 

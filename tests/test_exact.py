@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import monochain
 from monochain import (
     Ehrenfest,
     MoranGeneral,
@@ -13,7 +18,6 @@ from monochain import (
     PolyaLevel,
     PolyaUpDown,
     StationaryConvergenceError,
-    TransitionRow,
     ValidationError,
     build_matrix,
     check_irreducible_aperiodic,
@@ -24,10 +28,12 @@ from monochain import (
     multinomial_log_pmf,
     stationary,
     tv_bound_coefficients,
+    transition_row,
     tv_curve,
 )
+from monochain import kernels
 from monochain.exact import TransitionMatrix
-from helpers import delta_construction_matrix, random_positive_matrix
+from helpers import delta_construction_matrix, random_positive_matrix, random_prob_vector
 
 
 def test_build_matrix_shape_and_rows():
@@ -35,6 +41,108 @@ def test_build_matrix_shape_and_rows():
     assert tm.dim == 45  # C(10, 8)
     sums = np.asarray(tm.csr.sum(axis=1)).ravel()
     assert sums == pytest.approx(np.ones(45), abs=1e-12)
+
+
+def _all_families(n: int, d: int, s: int, rng) -> list:
+    alpha = tuple(rng.uniform(0.5, 3.0, d))
+    return [
+        MoranGeneral(n, random_positive_matrix(rng, d)),
+        MoranStandard(n, 0.4, random_prob_vector(rng, d)),
+        PolyaLevel(n, s, alpha),
+        PolyaUpDown(n, s, alpha),
+        PolyaDownUp(n, s, alpha),
+        Ehrenfest(n, s, random_prob_vector(rng, d)),
+    ]
+
+
+def _csr_row(tm, i: int) -> list:
+    lo, hi = tm.csr.indptr[i], tm.csr.indptr[i + 1]
+    return [(tm.states[j], p) for j, p in zip(tm.csr.indices[lo:hi], tm.csr.data[lo:hi])]
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["one_block", "blocks_of_states"])
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 4)])
+def test_batched_rows_equal_single_rows(n, d, budget, monkeypatch):
+    # Every CSR row, entries and column order, equals the row of one state;
+    # the Moran rows come from the scalar moran_row.  A small path budget
+    # splits the build into blocks of a few states.
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_PATH_BUDGET", budget)
+    rng = np.random.default_rng([n, d])
+    for s in sorted({1, 2, n}):
+        for spec in _all_families(n, d, s, rng):
+            tm = build_matrix(spec)
+            for i, x in enumerate(tm.states):
+                assert _csr_row(tm, i) == list(transition_row(spec, x).probs.items())
+
+
+@pytest.mark.parametrize("ctor,weights", [
+    (PolyaLevel, (1.5, 0.5)), (PolyaUpDown, (1.5, 0.5)),
+    (PolyaDownUp, (1.5, 0.5)), (Ehrenfest, (0.3, 0.7)),
+], ids=["polya_level", "polya_updown", "polya_downup", "ehrenfest"])
+def test_batched_rows_beyond_exact_float_binomials(ctor, weights):
+    # comb(60, 30) > 2**53, so a float numerator or denominator would round
+    # (by a few 1e-16 relative).  transition_prob sums the same paths, with
+    # the same arithmetic and in the same order, from exact integers, so
+    # every entry is equal, not just close.
+    spec = ctor(60, 30, weights)
+    assert math.comb(60, 30) > 2**53
+    tm = build_matrix(spec)
+    for i, x in enumerate(tm.states):
+        for z, p in _csr_row(tm, i):
+            assert p == kernels.transition_prob(spec, x, z)
+
+
+def _corrupt_first_row(change):
+    """Wrap kernels._urn_paths so that ``change`` edits the path probabilities of state 0."""
+    paths = kernels._urn_paths
+
+    def corrupted(spec, x):
+        row, path, prob = paths(spec, x)
+        prob = prob.copy()
+        prob[row == 0] = change(prob[row == 0])
+        return row, path, prob
+
+    return corrupted
+
+
+def _flip_first(p):
+    # Entry 0 turns negative; entry 1, of another successor, takes its mass
+    # twice over, so the row still sums to 1.
+    return np.concatenate([[-p[0], p[1] + 2.0 * p[0]], p[2:]])
+
+
+@pytest.mark.parametrize("change,message", [(_flip_first, "must be > 0"),
+                                            (lambda p: 2.0 * p, "sums to")],
+                         ids=["entry_not_positive", "row_sum_off"])
+def test_corrupted_path_probability_is_refused(change, message, monkeypatch):
+    spec = PolyaLevel(4, 1, (1.0, 2.0, 1.5))
+    monkeypatch.setattr(kernels, "_urn_paths", _corrupt_first_row(change))
+    with pytest.raises(ValidationError, match=message):
+        build_matrix(spec)
+    with pytest.raises(ValidationError, match=message):
+        transition_row(spec, (4, 0, 0))
+
+
+def test_large_s_build_in_bounded_memory():
+    # Down-up at N = 44, s = 22, d = 3: 1,035 states with up to 276 x 276
+    # paths each.  Held at once they take about 1.5 GB; built a block of
+    # states at a time they fit the child's 1 GB address space.
+    resource = pytest.importorskip("resource")
+    cap = 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    code = ("import monochain as mc; "
+            "tm = mc.build_matrix(mc.PolyaDownUp(44, 22, (1.0, 2.0, 1.5))); "
+            "print(tm.dim, tm.csr.nnz)")
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1035", "728157"]
 
 
 def test_standard_and_general_matrices_coincide():
@@ -88,9 +196,8 @@ def test_stationary_rejects_periodic_kernel():
     # Hand-built two-state flip: no valid model produces this, but the solver
     # must refuse rather than return garbage.
     states = [(0, 1), (1, 0)]
-    rows = [TransitionRow((0, 1), {(1, 0): 1.0}), TransitionRow((1, 0), {(0, 1): 1.0})]
     csr = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    tm = TransitionMatrix(spec=None, states=states, rows=rows, csr=csr,
+    tm = TransitionMatrix(spec=None, states=states, csr=csr,
                           index={s: i for i, s in enumerate(states)})
     with pytest.raises(StationaryConvergenceError):
         stationary(tm)
@@ -101,9 +208,7 @@ def _hand_built(dense) -> TransitionMatrix:
     dense = np.asarray(dense, dtype=float)
     n = len(dense)
     states = [(k, n - 1 - k) for k in range(n)]
-    rows = [TransitionRow(x, {states[j]: p for j, p in enumerate(row) if p > 0.0})
-            for x, row in zip(states, dense)]
-    return TransitionMatrix(spec=None, states=states, rows=rows, csr=sp.csr_matrix(dense),
+    return TransitionMatrix(spec=None, states=states, csr=sp.csr_matrix(dense),
                             index={x: i for i, x in enumerate(states)})
 
 

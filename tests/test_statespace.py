@@ -14,6 +14,7 @@ from monochain import (
     unrank,
     validate_composition,
 )
+from monochain.statespace import ranks
 
 
 def test_enumerate_tiny_cases():
@@ -46,11 +47,12 @@ def test_cap_rejection_names_size():
 
 
 def test_rank_unrank_roundtrip_exhaustive():
-    for n, d in [(4, 3), (2, 2), (5, 4)]:
+    for n, d in [(4, 3), (2, 2), (5, 4), (0, 3)]:
         states = enumerate_states(n, d)
         for i, x in enumerate(states):
             assert rank(x) == i
             assert unrank(i, n, d) == x
+        assert ranks(np.array(states), n).tolist() == list(range(len(states)))
 
 
 def test_rank_unrank_endpoints():
