@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UnknownStationaryError, ValidationError
 from .kernels import ModelSpec, MoranStandard, UrnSpec
 from .spectral import EigenData, model_eigendata
@@ -132,27 +134,55 @@ def multinomial_log_pmf(x, n_total: int, p) -> float:
     return out
 
 
-def stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
-    """Log stationary mass at x, where a closed form is known.
+def _closed_form(spec: ModelSpec) -> tuple[tuple[float, ...], bool]:
+    """(weights, reinforced) of the spec's closed-form stationary law.
 
-    Standard Moran and the three Polya variants are Dirichlet-multinomial
-    (standard Moran with alpha_i = N m p_i / (1 - m), degenerating to the
-    multinomial at m = 1); Ehrenfest is multinomial.  The general Moran chain
-    has no known stationary law.
+    The law is Dirichlet-multinomial with alpha = weights when reinforced, and
+    multinomial with p = weights otherwise.  Standard Moran and the three
+    Polya variants are Dirichlet-multinomial (standard Moran with
+    alpha_i = N m p_i / (1 - m), degenerating to the multinomial at m = 1);
+    Ehrenfest is multinomial.  The general Moran chain has no known
+    stationary law.
     """
-    x = validate_composition(x, spec.N, spec.d)
     if isinstance(spec, MoranStandard):
         if spec.m == 1.0:
-            return multinomial_log_pmf(x, spec.N, spec.p)
-        alpha = tuple(spec.N * spec.m * pi / (1.0 - spec.m) for pi in spec.p)
-        return dm_log_pmf(x, spec.N, alpha)
+            return spec.p, False
+        return tuple(spec.N * spec.m * pi / (1.0 - spec.m) for pi in spec.p), True
     if isinstance(spec, UrnSpec):
-        log_pmf = dm_log_pmf if spec.reinforced else multinomial_log_pmf
-        return log_pmf(x, spec.N, spec.weights)
+        return spec.weights, spec.reinforced
     raise UnknownStationaryError(
         f"crude bound unavailable: no closed-form stationary law for "
         f"{type(spec).__name__}"
     )
+
+
+def stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
+    """Log stationary mass at x, where a closed form is known (see _closed_form)."""
+    x = validate_composition(x, spec.N, spec.d)
+    weights, reinforced = _closed_form(spec)
+    log_pmf = dm_log_pmf if reinforced else multinomial_log_pmf
+    return log_pmf(x, spec.N, weights)
+
+
+def stationary_log_pmfs(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
+    """stationary_log_pmf at every row of a states array.
+
+    The per-coordinate terms of dm_log_pmf or multinomial_log_pmf are tabled
+    over the counts 0..N with math.lgamma and indexed by the states.
+    """
+    weights, reinforced = _closed_form(spec)
+    n = spec.N
+    counts = range(n + 1)
+    if reinforced:
+        total = math.fsum(weights)
+        const = math.lgamma(n + 1) + math.lgamma(total) - math.lgamma(n + total)
+        table = [[math.lgamma(c + a) - math.lgamma(c + 1) - math.lgamma(a) for c in counts]
+                 for a in weights]
+    else:
+        const = math.lgamma(n + 1)
+        table = [[c * math.log(p) - math.lgamma(c + 1) for c in counts] for p in weights]
+    terms = np.array(table)[np.arange(len(weights)), states]
+    return const + terms.sum(axis=1)
 
 
 def _report_steps(coeff: float, lam: float, epsilon: float) -> int:

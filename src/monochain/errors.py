@@ -35,7 +35,8 @@ class UnknownStationaryError(MonochainError):
 
 
 class StationaryConvergenceError(MonochainError):
-    """Iterated squaring failed to converge to a stationary distribution."""
+    """No verified stationary distribution: the kernel is reducible or periodic,
+    power iteration hit its cap, or the result failed the residual check."""
 
 
 class CouplingOrderError(MonochainError):

@@ -1,10 +1,10 @@
 """Desk-scale ground truth: sparse kernels, stationary laws, exact TV curves.
 
 Everything here materializes the full state space, so it is gated by the
-enumeration cap.  The stationary distribution is one sparse direct solve of
-pi (I - K) = 0 with the last state's mass pinned, after a graph check that
-the kernel is irreducible and aperiodic; TV curves use row-sparse vector
-products.  Nothing makes the kernel dense.
+enumeration cap.  The stationary distribution is the fixed point of power
+iteration on K^T, started from the closed-form law where there is one, after
+a graph check that the kernel is irreducible and aperiodic; TV curves use
+row-sparse vector products.  Nothing makes the kernel dense or factorizes it.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.sparse.linalg import spsolve
 
-from .errors import StationaryConvergenceError, ValidationError
+from .bounds import stationary_log_pmfs
+from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
 from .kernels import ModelSpec, MoranGeneral, MoranStandard, expand_standard, kernel_rows
 from .statespace import (
     DEFAULT_STATE_CAP,
@@ -26,6 +26,12 @@ from .statespace import (
 )
 
 _STATIONARY_CHECK_TOL = 1e-12
+# Power iteration stops once successive iterates differ by at most this in max
+# norm, tested every _STATIONARY_CHECK_EVERY products; the residual alone
+# bounds the error only up to a factor of about 1/gap, hence the tighter stop.
+_STATIONARY_STOP_TOL = 1e-15
+_STATIONARY_CHECK_EVERY = 8
+_STATIONARY_MAX_ITER = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,23 +86,46 @@ def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
     return None if period == 1 else f"kernel is periodic (period {period})"
 
 
-def stationary(tm: TransitionMatrix) -> np.ndarray:
-    """Stationary distribution by one sparse direct solve.
+def _start(tm: TransitionMatrix) -> np.ndarray:
+    """The closed-form stationary law over tm.states where one is known, else uniform."""
+    try:
+        log_pmf = stationary_log_pmfs(tm.spec, np.asarray(tm.states, dtype=np.int64))
+    except UnknownStationaryError:
+        return np.full(tm.dim, 1.0 / tm.dim)
+    start = np.exp(log_pmf)
+    return start / start.sum()
 
-    Refuses a reducible or periodic kernel, pins the last state's mass at 1,
-    solves the other rows of pi (I - K) = 0 (a nonsingular minor for an
-    irreducible kernel), normalizes, and verifies pi K = pi to 1e-12 in max
-    norm with no entry below -1e-12.
+
+def stationary(tm: TransitionMatrix) -> np.ndarray:
+    """Stationary distribution by power iteration on K^T.
+
+    Refuses a reducible or periodic kernel, then iterates v -> K^T v from
+    the closed-form law (uniform where none is known) until successive
+    iterates differ by at most 1e-15 in max norm.  The start only speeds
+    convergence: the result is the kernel's own iterate, normalized and
+    verified pi K = pi to 1e-12 in max norm with no entry below -1e-12.
     """
     problem = _ergodicity_problem(tm.csr)
     if problem is not None:
         raise StationaryConvergenceError(f"no unique limiting law: {problem}")
-    a = (sp.identity(tm.dim, format="csc") - tm.csr.T).tocsc()
-    # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
-    pi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
+    kt = tm.csr.T.tocsr()
+    pi = _start(tm)
+    for _ in range(0, _STATIONARY_MAX_ITER, _STATIONARY_CHECK_EVERY):
+        prev, pi = pi, kt @ pi
+        diff = float(np.max(np.abs(pi - prev)))
+        # A NaN stops here too, and fails the residual check below.
+        if not diff > _STATIONARY_STOP_TOL:
+            break
+        for _ in range(_STATIONARY_CHECK_EVERY - 1):
+            pi = kt @ pi
+    else:
+        raise StationaryConvergenceError(
+            f"power iteration did not settle in {_STATIONARY_MAX_ITER} iterations: "
+            f"last successive difference {diff:.3e} (tolerance {_STATIONARY_STOP_TOL})"
+        )
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ tm.csr - pi)))
-    # Written so that a NaN from a singular solve fails the check.
+    # Written so that a NaN fails the check.
     if not (residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL):
         raise StationaryConvergenceError(
             f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
@@ -163,25 +192,26 @@ def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
     np.fill_diagonal(comparable, False)
     n_pairs = int(comparable.sum())
 
-    # Order states by prefix level so predecessors are filled first.
-    order = np.argsort(prefix.sum(axis=1), kind="stable")
+    # Predecessor x - e_i + e_d of each state for i < d - 1, by colex rank
+    # (its enumeration index); where x_i = 0 it points at a zero sentinel.
+    has_pred = prefix > 0
+    preds = states[:, None, :] - np.eye(d, dtype=np.int64)[None, : d - 1]
+    preds[..., d - 1] += 1
+    preds = np.where(has_pred[..., None], preds, states[:, None, :])
+    pred_index = np.where(has_pred, ranks(preds, int(states[0].sum())), tm.dim)
+    # Predecessors sit one prefix level down, so the levels fill in order.
+    level = prefix.sum(axis=1)
+    levels = [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]
     rng = np.random.default_rng(seed)
 
     violations = 0
     max_excess = 0.0
     for _ in range(trials):
         increments = rng.random(tm.dim)
-        g = np.zeros(tm.dim)
-        for idx in order:
-            x = tm.states[int(idx)]
-            best = 0.0
-            for i in range(d - 1):
-                if x[i] > 0:
-                    pred = list(x)
-                    pred[i] -= 1
-                    pred[d - 1] += 1
-                    best = max(best, g[tm.index[tuple(pred)]])
-            g[int(idx)] = best + increments[int(idx)]
+        g = np.zeros(tm.dim + 1)
+        for idx in levels:
+            g[idx] = g[pred_index[idx]].max(axis=1) + increments[idx]
+        g = g[:-1]
         kg = tm.csr @ g
         excess = kg[:, None] - kg[None, :] - tol
         bad = comparable & (excess > 0.0)

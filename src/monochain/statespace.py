@@ -21,9 +21,8 @@ from .errors import CapacityError, ValidationError
 Composition = tuple[int, ...]
 
 # Largest state space enumerate_states will materialize by default.  The exact
-# module keeps every state, the sparse kernel and the LU factors of its
-# stationary solve; the factors fill in fast as d grows, so at d >= 5 a space
-# near this cap is not yet solvable on a desk machine.
+# module keeps every state, the sparse kernel, its transpose and a few
+# vectors; nothing is factorized, so memory grows with the kernel's nonzeros.
 DEFAULT_STATE_CAP = 200_000
 
 

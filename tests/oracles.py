@@ -1,14 +1,21 @@
-"""Brute-force oracles: exact-rational row distributions from ordered draws.
+"""Brute-force oracles: exact-rational row distributions from ordered draws,
+and stationary laws by a sparse direct solve.
 
-These enumerate every ordered (ball-label, destination) sequence of one urn
-step and accumulate Fraction probabilities, staying deliberately independent
-of the closed-form rows in the package (no hypergeometric or
-Dirichlet-multinomial formulas here).
+The row oracles enumerate every ordered (ball-label, destination) sequence of
+one urn step and accumulate Fraction probabilities, staying deliberately
+independent of the closed-form rows in the package (no hypergeometric or
+Dirichlet-multinomial formulas here).  The stationary oracle solves the
+linear system instead of iterating, so it shares no start, stop rule or
+closed form with the package's power iteration.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 
 def species_of_labels(x) -> list[int]:
@@ -157,3 +164,16 @@ def moran_row_oracle(x, m_rows) -> dict:
                 key = tuple(succ)
                 rows[key] = rows.get(key, Fraction(0)) + pr
     return rows
+
+
+def stationary_lu(csr) -> np.ndarray:
+    """Stationary law of an irreducible kernel by one sparse LU solve.
+
+    Pins the last state's mass at 1 and solves the other rows of
+    pi (I - K) = 0, a nonsingular minor for an irreducible kernel; then
+    normalizes.
+    """
+    a = (sp.identity(csr.shape[0], format="csc") - csr.T).tocsc()
+    # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
+    pi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
+    return pi / pi.sum()

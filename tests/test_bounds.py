@@ -23,6 +23,7 @@ from monochain import (
     steps_to_epsilon,
     tv_bound_coefficients,
 )
+from monochain.bounds import stationary_log_pmf, stationary_log_pmfs
 from monochain.cli import main
 from helpers import delta_construction_matrix, random_model
 
@@ -174,3 +175,24 @@ def test_full_swap_downup_eigenvalue_is_exactly_zero(n, alpha, tmp_path, capsys)
     assert main(["bounds", "--config", str(config)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["lambda"] == 0.0 and doc["steps_sufficient"] == 1
+
+
+@pytest.mark.parametrize("spec", [
+    MoranStandard(9, 0.4, (0.3, 0.2, 0.5)),
+    MoranStandard(9, 1.0, (0.3, 0.2, 0.5)),
+    PolyaLevel(9, 2, (1.0, 2.0, 1.5)),
+    PolyaDownUp(9, 9, (0.5, 2.0, 1.5)),
+    Ehrenfest(9, 1, (0.25, 0.35, 0.4)),
+], ids=["moran_standard", "moran_standard_m1", "polya_level", "polya_downup", "ehrenfest"])
+def test_vectorised_log_pmf_matches_scalar(spec):
+    states = enumerate_states(9, 3)
+    got = stationary_log_pmfs(spec, np.array(states))
+    want = [stationary_log_pmf(spec, x) for x in states]
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert math.fsum(np.exp(got)) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_vectorised_log_pmf_unknown_for_general_moran():
+    spec = MoranGeneral(4, delta_construction_matrix(0.05))
+    with pytest.raises(UnknownStationaryError):
+        stationary_log_pmfs(spec, np.array(enumerate_states(4, 3)))

@@ -348,6 +348,33 @@ def test_exact_at_twelve_thousand_states_in_bounded_memory(tmp_path):
                <= float(r["upper_bound"]) + 1e-11 for r in rows)
 
 
+def test_exact_at_d5_in_bounded_memory(tmp_path):
+    # N = 30, d = 5: 46,376 states and 4.8M nonzeros.  The kernel and the
+    # power iteration fit a 2 GB address space; a sparse LU of the same
+    # kernel fills in beyond it.
+    resource = pytest.importorskip("resource")
+    doc = {
+        "model": {"model": "polya_level", "N": 30, "s": 2, "alpha": [1.0, 2.0, 1.5, 0.5, 1.0]},
+        "start": [30, 0, 0, 0, 0],
+        "n_max": 20,
+    }
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "monochain.cli", "exact", "--config", _write(tmp_path, doc)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert len(rows) == 21
+    assert all(float(r["lower_bound"]) - 1e-11 <= float(r["tv_exact"])
+               <= float(r["upper_bound"]) + 1e-11 for r in rows)
+
+
 @pytest.mark.parametrize("spec,x", [
     (MoranGeneral(6, delta_construction_matrix(0.05)), (1, 2, 3)),
     (MoranStandard(6, 0.4, (0.3, 0.2, 0.5)), (0, 0, 6)),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,10 @@ from monochain import (
     transition_row,
     tv_curve,
 )
-from monochain import kernels
+from monochain import exact, kernels
 from monochain.exact import TransitionMatrix
 from helpers import delta_construction_matrix, random_positive_matrix, random_prob_vector
+from oracles import stationary_lu
 
 
 def test_build_matrix_shape_and_rows():
@@ -227,6 +229,57 @@ def test_stationary_accepts_aperiodic_kernel_without_self_loops():
     assert np.max(np.abs(stationary(tm) - [0.4, 0.4, 0.2])) <= 1e-15
 
 
+@pytest.mark.parametrize("spec", [
+    MoranGeneral(17, MutationMatrix([[0.7, 0.1, 0.1, 0.1], [0.2, 0.6, 0.1, 0.1],
+                                     [0.1, 0.2, 0.6, 0.1], [0.1, 0.1, 0.2, 0.6]])),
+    MoranStandard(44, 0.5, (0.3, 0.2, 0.5)),
+    PolyaLevel(44, 2, (1.0, 2.0, 3.0)),
+    PolyaUpDown(44, 2, (1.0, 2.0, 3.0)),
+    PolyaDownUp(44, 2, (1.0, 2.0, 3.0)),
+    Ehrenfest(17, 2, (0.1, 0.2, 0.3, 0.4)),
+    PolyaDownUp(12, 12, (1.0, 2.0, 1.5)),
+    Ehrenfest(9, 9, (0.1, 0.2, 0.3, 0.4)),
+], ids=["moran_general", "moran_standard", "polya_level", "polya_updown",
+        "polya_downup", "ehrenfest", "polya_downup_lambda0", "ehrenfest_lambda0"])
+def test_stationary_matches_lu_oracle(spec):
+    # Desk sizes (about a thousand states; a few hundred for the lambda = 0
+    # specs, whose rows all equal pi).  General Moran starts from uniform, the
+    # others from their closed form.
+    tm = build_matrix(spec)
+    assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-12
+
+
+def test_stationary_corrects_a_wrong_start(monkeypatch):
+    # The start only speeds convergence: from a point mass the iteration
+    # still reaches the kernel's own law.
+    spec = PolyaLevel(6, 2, (1.0, 2.0, 1.5))
+    tm = build_matrix(spec)
+    monkeypatch.setattr(exact, "_start", lambda tm: np.eye(tm.dim)[0])
+    err = max(abs(p - math.exp(dm_log_pmf(x, 6, (1.0, 2.0, 1.5))))
+              for p, x in zip(stationary(tm), tm.states))
+    assert err <= 1e-12
+
+
+def test_nearly_periodic_kernel_hits_the_iteration_cap():
+    # One self-loop of 1e-9 makes the flip aperiodic, so the graph check
+    # passes, but power iteration from uniform settles by a factor of only
+    # 1 - 1e-9 a step.  The cap ends it, quickly and with the numbers.
+    tm = _hand_built([[1e-9, 1.0 - 1e-9], [1.0, 0.0]])
+    t0 = time.perf_counter()
+    with pytest.raises(StationaryConvergenceError,
+                       match=f"did not settle in {exact._STATIONARY_MAX_ITER} iterations"):
+        stationary(tm)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_corrupted_kernel_entry_fails_the_residual_check():
+    # Row 0 sums to 0.75: the iterates shrink towards zero, so successive
+    # ones soon agree, but the normalized result is no fixed point of K.
+    tm = _hand_built([[0.5, 0.25], [0.5, 0.5]])
+    with pytest.raises(StationaryConvergenceError, match="stationarity residual"):
+        stationary(tm)
+
+
 def test_tv_curve_starts_at_complement_of_stationary_mass():
     spec = PolyaLevel(6, 1, (1.0, 2.0, 1.5))
     tm = build_matrix(spec)
@@ -334,3 +387,24 @@ def test_audit_runs_on_condition_violating_matrix():
     assert report.violations >= 0
     if report.violations:
         assert report.max_excess > 0
+
+
+def test_audit_results_are_pinned():
+    # Seeded results of a non-monotone Moran kernel and of a random kernel.
+    cyclic = MoranGeneral(6, MutationMatrix([
+        [0.05, 0.05, 0.9],
+        [0.9, 0.05, 0.05],
+        [0.05, 0.9, 0.05],
+    ]))
+    report = monotonicity_audit(build_matrix(cyclic), trials=50, seed=1)
+    assert (report.comparable_pairs, report.violations, report.max_excess) == (
+        182, 24, 0.3634704430278084)
+    rng = np.random.default_rng(5)
+    states = monochain.enumerate_states(5, 4)
+    dense = rng.random((len(states), len(states)))
+    dense /= dense.sum(axis=1, keepdims=True)
+    tm = TransitionMatrix(spec=None, states=states, csr=sp.csr_matrix(dense),
+                          index={x: i for i, x in enumerate(states)})
+    report = monotonicity_audit(tm, trials=20, seed=4)
+    assert (report.comparable_pairs, report.violations, report.max_excess) == (
+        406, 4966, 0.44224447808201317)
