@@ -36,7 +36,7 @@ class UnknownStationaryError(MonochainError):
 
 class StationaryConvergenceError(MonochainError):
     """No verified stationary distribution: the kernel is reducible or periodic,
-    power iteration hit its cap, or the result failed the residual check."""
+    or the result failed the residual check."""
 
 
 class CouplingOrderError(MonochainError):

@@ -1,10 +1,11 @@
 """Desk-scale ground truth: sparse kernels, stationary laws, exact TV curves.
 
 Everything here materializes the full state space, so it is gated by the
-enumeration cap.  The stationary distribution is the fixed point of power
-iteration on K^T, started from the closed-form law where there is one, after
-a graph check that the kernel is irreducible and aperiodic; TV curves use
-row-sparse vector products.  Nothing makes the kernel dense or factorizes it.
+enumeration cap.  After a graph check that the kernel is irreducible and
+aperiodic, the stationary distribution comes from power iteration on K^T
+started from the closed-form law where there is one, and from one sparse
+direct solve otherwise; TV curves use row-sparse vector products.  Nothing
+makes the kernel dense.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import spsolve
 
 from .bounds import stationary_log_pmfs
 from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
@@ -22,16 +24,19 @@ from .statespace import (
     Composition,
     enumerate_states,
     ranks,
+    state_count,
     validate_composition,
 )
 
 _STATIONARY_CHECK_TOL = 1e-12
-# Power iteration stops once successive iterates differ by at most this in max
-# norm, tested every _STATIONARY_CHECK_EVERY products; the residual alone
-# bounds the error only up to a factor of about 1/gap, hence the tighter stop.
+# Power iteration from a closed-form start stops once successive iterates
+# differ by at most _STATIONARY_STOP_TOL in max norm, tested every
+# _STATIONARY_CHECK_EVERY products.  A correct start settles in one product;
+# one that has not settled within _STATIONARY_POWER_BUDGET products is wrong,
+# and the direct solve takes over.
 _STATIONARY_STOP_TOL = 1e-15
 _STATIONARY_CHECK_EVERY = 8
-_STATIONARY_MAX_ITER = 1 << 16
+_STATIONARY_POWER_BUDGET = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,46 +91,64 @@ def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
     return None if period == 1 else f"kernel is periodic (period {period})"
 
 
-def _start(tm: TransitionMatrix) -> np.ndarray:
-    """The closed-form stationary law over tm.states where one is known, else uniform."""
+def _start(tm: TransitionMatrix) -> np.ndarray | None:
+    """The closed-form stationary law over tm.states, or None where none is known."""
     try:
         log_pmf = stationary_log_pmfs(tm.spec, np.asarray(tm.states, dtype=np.int64))
     except UnknownStationaryError:
-        return np.full(tm.dim, 1.0 / tm.dim)
+        return None
     start = np.exp(log_pmf)
     return start / start.sum()
 
 
-def stationary(tm: TransitionMatrix) -> np.ndarray:
-    """Stationary distribution by power iteration on K^T.
+def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
+    for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
+        prev, v = v, kt @ v
+        # A NaN settles too, and fails the residual check.
+        if not float(np.max(np.abs(v - prev))) > _STATIONARY_STOP_TOL:
+            return v, True
+        for _ in range(_STATIONARY_CHECK_EVERY - 1):
+            v = kt @ v
+    return v, False
 
-    Refuses a reducible or periodic kernel, then iterates v -> K^T v from
-    the closed-form law (uniform where none is known) until successive
-    iterates differ by at most 1e-15 in max norm.  The start only speeds
-    convergence: the result is the kernel's own iterate, normalized and
-    verified pi K = pi to 1e-12 in max norm with no entry below -1e-12.
+
+def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
+    """Unnormalized pi with pi (I - K) = 0 by one sparse LU solve.
+
+    Pins the last state's mass at 1 and solves the other rows, a nonsingular
+    minor for an irreducible kernel.
+    """
+    a = (sp.identity(csr.shape[0], format="csc") - csr.T).tocsc()
+    # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
+    return np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
+
+
+def stationary(tm: TransitionMatrix) -> np.ndarray:
+    """Stationary distribution, verified against the kernel.
+
+    Refuses a reducible or periodic kernel.  Where the closed-form law is
+    known it iterates v -> K^T v from it until successive iterates differ by
+    at most 1e-15 in max norm, which takes one product when the formula
+    holds; the start is never returned as is.  Otherwise (general Moran,
+    hand-built kernels), or if that iteration has not settled within its
+    budget, one sparse direct solve gives the kernel's own law; unlike power
+    iteration or restarted Krylov solvers, it does not stall on slowly mixing
+    chains.  Either way the result is normalized and verified pi K = pi to
+    1e-12 in max norm with no entry below -1e-12.
     """
     problem = _ergodicity_problem(tm.csr)
     if problem is not None:
         raise StationaryConvergenceError(f"no unique limiting law: {problem}")
-    kt = tm.csr.T.tocsr()
-    pi = _start(tm)
-    for _ in range(0, _STATIONARY_MAX_ITER, _STATIONARY_CHECK_EVERY):
-        prev, pi = pi, kt @ pi
-        diff = float(np.max(np.abs(pi - prev)))
-        # A NaN stops here too, and fails the residual check below.
-        if not diff > _STATIONARY_STOP_TOL:
-            break
-        for _ in range(_STATIONARY_CHECK_EVERY - 1):
-            pi = kt @ pi
-    else:
-        raise StationaryConvergenceError(
-            f"power iteration did not settle in {_STATIONARY_MAX_ITER} iterations: "
-            f"last successive difference {diff:.3e} (tolerance {_STATIONARY_STOP_TOL})"
-        )
-    pi /= pi.sum()
+    start = _start(tm)
+    settled = False
+    if start is not None:
+        pi, settled = _power_iterate(tm.csr.T.tocsr(), start)
+    if not settled:
+        pi = _solve_direct(tm.csr)
+    pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ tm.csr - pi)))
-    # Written so that a NaN fails the check.
+    # Written so that a NaN from the iteration or a singular solve fails the check.
     if not (residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL):
         raise StationaryConvergenceError(
             f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
@@ -193,12 +216,19 @@ def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
     n_pairs = int(comparable.sum())
 
     # Predecessor x - e_i + e_d of each state for i < d - 1, by colex rank
-    # (its enumeration index); where x_i = 0 it points at a zero sentinel.
+    # mapped to its position in tm.states, which need not be in enumeration
+    # order; where x_i = 0 it points at a zero sentinel.
+    n_total = int(states[0].sum())
+    rank = ranks(states, n_total)
+    position = np.argsort(rank)
+    if tm.dim != state_count(n_total, d) or not np.array_equal(rank[position],
+                                                              np.arange(tm.dim)):
+        raise ValidationError("audit needs every composition of N as a state")
     has_pred = prefix > 0
     preds = states[:, None, :] - np.eye(d, dtype=np.int64)[None, : d - 1]
     preds[..., d - 1] += 1
     preds = np.where(has_pred[..., None], preds, states[:, None, :])
-    pred_index = np.where(has_pred, ranks(preds, int(states[0].sum())), tm.dim)
+    pred_index = np.where(has_pred, position[ranks(preds, n_total)], tm.dim)
     # Predecessors sit one prefix level down, so the levels fill in order.
     level = prefix.sum(axis=1)
     levels = [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]

@@ -22,7 +22,9 @@ Composition = tuple[int, ...]
 
 # Largest state space enumerate_states will materialize by default.  The exact
 # module keeps every state, the sparse kernel, its transpose and a few
-# vectors; nothing is factorized, so memory grows with the kernel's nonzeros.
+# vectors.  Only a kernel with no closed-form stationary law (general Moran)
+# also needs the LU factors of one sparse solve; they fill in fast as d grows,
+# so at d >= 5 such a space near this cap is not yet solvable on a desk machine.
 DEFAULT_STATE_CAP = 200_000
 
 

@@ -6,7 +6,8 @@ one urn step and accumulate Fraction probabilities, staying deliberately
 independent of the closed-form rows in the package (no hypergeometric or
 Dirichlet-multinomial formulas here).  The stationary oracle solves the
 linear system instead of iterating, so it shares no start, stop rule or
-closed form with the package's power iteration.
+closed form with the package's power iteration; for kernels with no closed
+form the package runs the same solve.
 """
 from __future__ import annotations
 

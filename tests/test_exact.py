@@ -239,42 +239,59 @@ def test_stationary_accepts_aperiodic_kernel_without_self_loops():
     Ehrenfest(17, 2, (0.1, 0.2, 0.3, 0.4)),
     PolyaDownUp(12, 12, (1.0, 2.0, 1.5)),
     Ehrenfest(9, 9, (0.1, 0.2, 0.3, 0.4)),
+    # Slowly mixing general Moran chains: rare mutation, where the spectral
+    # gap (1 - lambda*(M)) / N is about 1e-4 (power iteration from uniform
+    # does not settle the asymmetric one in 2^16 products); a cyclic mutation
+    # matrix that meets none of the monotonicity conditions; and a
+    # 1,001-state birth-death chain with gap 5e-4.
+    MoranGeneral(10, MutationMatrix([[0.999, 0.0005, 0.0005], [0.0005, 0.999, 0.0005],
+                                     [0.0005, 0.0005, 0.999]])),
+    MoranGeneral(10, MutationMatrix([[0.999, 0.001, 0.0], [0.0005, 0.999, 0.0005],
+                                     [0.0, 0.001, 0.999]])),
+    MoranGeneral(20, MutationMatrix([[0.999, 0.001, 0.0], [0.0, 0.999, 0.001],
+                                     [0.001, 0.0, 0.999]])),
+    MoranGeneral(1000, MutationMatrix([[0.6, 0.4], [0.1, 0.9]])),
 ], ids=["moran_general", "moran_standard", "polya_level", "polya_updown",
-        "polya_downup", "ehrenfest", "polya_downup_lambda0", "ehrenfest_lambda0"])
+        "polya_downup", "ehrenfest", "polya_downup_lambda0", "ehrenfest_lambda0",
+        "moran_rare_symmetric", "moran_rare_asymmetric", "moran_cyclic_rare",
+        "moran_d2_1001"])
 def test_stationary_matches_lu_oracle(spec):
     # Desk sizes (about a thousand states; a few hundred for the lambda = 0
-    # specs, whose rows all equal pi).  General Moran starts from uniform, the
-    # others from their closed form.
+    # specs, whose rows all equal pi).  The urn families and standard Moran
+    # iterate from their closed form; general Moran has none.
     tm = build_matrix(spec)
     assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-12
 
 
 def test_stationary_corrects_a_wrong_start(monkeypatch):
     # The start only speeds convergence: from a point mass the iteration
-    # still reaches the kernel's own law.
-    spec = PolyaLevel(6, 2, (1.0, 2.0, 1.5))
-    tm = build_matrix(spec)
+    # still reaches the kernel's own law, within its budget (gap 0.062, about
+    # 560 products) and to the accuracy its 1e-15 stop gives, about 1e-15/gap.
+    alpha = (1.0, 2.0, 1.5)
+    tm = build_matrix(PolyaLevel(10, 2, alpha))
     monkeypatch.setattr(exact, "_start", lambda tm: np.eye(tm.dim)[0])
-    err = max(abs(p - math.exp(dm_log_pmf(x, 6, (1.0, 2.0, 1.5))))
+    monkeypatch.setattr(exact, "_solve_direct", None)
+    err = max(abs(p - math.exp(dm_log_pmf(x, 10, alpha)))
               for p, x in zip(stationary(tm), tm.states))
-    assert err <= 1e-12
+    assert err <= 1e-13
 
 
-def test_nearly_periodic_kernel_hits_the_iteration_cap():
+def test_nearly_periodic_kernel_is_solved_quickly(monkeypatch):
     # One self-loop of 1e-9 makes the flip aperiodic, so the graph check
-    # passes, but power iteration from uniform settles by a factor of only
-    # 1 - 1e-9 a step.  The cap ends it, quickly and with the numbers.
+    # passes, but power iteration settles by a factor of only 1 - 1e-9 a
+    # step.  Without a closed form the direct solve answers at once; from a
+    # start, the iteration gives up at its budget and the solve takes over.
     tm = _hand_built([[1e-9, 1.0 - 1e-9], [1.0, 0.0]])
     t0 = time.perf_counter()
-    with pytest.raises(StationaryConvergenceError,
-                       match=f"did not settle in {exact._STATIONARY_MAX_ITER} iterations"):
-        stationary(tm)
+    assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-15
+    monkeypatch.setattr(exact, "_start", lambda tm: np.array([0.9, 0.1]))
+    assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-15
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_corrupted_kernel_entry_fails_the_residual_check():
-    # Row 0 sums to 0.75: the iterates shrink towards zero, so successive
-    # ones soon agree, but the normalized result is no fixed point of K.
+    # Row 0 sums to 0.75, so no distribution is a fixed point of K: whatever
+    # the solve returns fails the residual check.
     tm = _hand_built([[0.5, 0.25], [0.5, 0.5]])
     with pytest.raises(StationaryConvergenceError, match="stationarity residual"):
         stationary(tm)
@@ -408,3 +425,52 @@ def test_audit_results_are_pinned():
     report = monotonicity_audit(tm, trials=20, seed=4)
     assert (report.comparable_pairs, report.violations, report.max_excess) == (
         406, 4966, 0.44224447808201317)
+
+
+def _audit_by_lookup(tm, trials, seed, tol=1e-10):
+    """The audit with per-state dictionary lookups of predecessors, in any state order."""
+    d = len(tm.states[0])
+    prefix = np.asarray(tm.states)[:, : d - 1]
+    comparable = np.all(prefix[:, None, :] <= prefix[None, :, :], axis=2)
+    np.fill_diagonal(comparable, False)
+    rng = np.random.default_rng(seed)
+    violations, max_excess = 0, 0.0
+    for _ in range(trials):
+        increments = rng.random(tm.dim)
+        g = np.zeros(tm.dim)
+        for idx in np.argsort(prefix.sum(axis=1), kind="stable"):
+            x = tm.states[idx]
+            preds = [x[:i] + (x[i] - 1,) + x[i + 1: d - 1] + (x[d - 1] + 1,)
+                     for i in range(d - 1) if x[i] > 0]
+            g[idx] = max((g[tm.index[y]] for y in preds), default=0.0) + increments[idx]
+        kg = tm.csr @ g
+        excess = kg[:, None] - kg[None, :] - tol
+        bad = comparable & (excess > 0.0)
+        violations += int(bad.sum())
+        if bad.any():
+            max_excess = max(max_excess, float(excess[bad].max()))
+    return int(comparable.sum()), violations, max_excess
+
+
+def test_audit_does_not_assume_enumeration_order():
+    # A kernel over its states in reverse or shuffled order gets the same
+    # result as the per-state lookup.  A state space with a composition
+    # missing is refused.
+    cyclic = MoranGeneral(6, MutationMatrix([
+        [0.05, 0.05, 0.9],
+        [0.9, 0.05, 0.05],
+        [0.05, 0.9, 0.05],
+    ]))
+    tm = build_matrix(cyclic)
+    rng = np.random.default_rng(2)
+    for perm in (np.arange(tm.dim)[::-1], rng.permutation(tm.dim)):
+        states = [tm.states[i] for i in perm]
+        moved = TransitionMatrix(spec=None, states=states, csr=tm.csr[perm][:, perm].tocsr(),
+                                 index={x: i for i, x in enumerate(states)})
+        report = monotonicity_audit(moved, trials=50, seed=1)
+        assert (report.comparable_pairs, report.violations, report.max_excess) == (
+            _audit_by_lookup(moved, trials=50, seed=1))
+    partial = TransitionMatrix(spec=None, states=tm.states[1:],
+                               csr=tm.csr[1:, 1:].tocsr(), index={})
+    with pytest.raises(ValidationError, match="every composition"):
+        monotonicity_audit(partial, trials=1)
