@@ -20,8 +20,6 @@ from .bounds import (
 )
 from .coupling import (
     CoupledPair,
-    Labeling,
-    build_labeling,
     coupled_moran_step,
     coupled_step,
     dominated_pick,
@@ -58,16 +56,13 @@ from .kernels import (
     PolyaUpDown,
     TransitionRow,
     UrnSpec,
-    ehrenfest_row,
     expand_standard,
     mean_drift,
     moran_row,
-    polya_row,
     sample_step,
     spec_from_json,
     spec_to_json,
     transition_row,
-    urn_row,
 )
 from .spectral import (
     ConditionReport,

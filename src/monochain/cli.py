@@ -88,8 +88,8 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if "model" not in doc:
-        raise ValidationError("config must contain a 'model' document")
+    if not isinstance(doc, dict) or "model" not in doc:
+        raise ValidationError("config must be an object with a 'model' document")
     spec = spec_from_json(doc["model"])
 
     def pick(flag_name, key, default):

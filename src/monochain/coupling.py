@@ -47,36 +47,6 @@ class CoupledPair(NamedTuple):
     y: Composition
 
 
-class Labeling(NamedTuple):
-    """Per-label species for both populations (0-based labels and species).
-
-    Labels 0..k1+k2-1 carry equal species; labels k1+k2..N-1 carry species
-    d-1 in population 1 and a species < d-1 in population 2.  Written out
-    label by label from the block form in O(N): for tests, not for stepping.
-    """
-
-    pop1: tuple[int, ...]
-    pop2: tuple[int, ...]
-    k1: int
-    k2: int
-
-    @property
-    def assignments(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.pop1, self.pop2))
-
-
-def build_labeling(x: Composition, y: Composition) -> Labeling:
-    """Deterministic shared labeling of an ordered pair (x <= y)."""
-    x = validate_composition(x)
-    y = validate_composition(y, sum(x), len(x))
-    if not partial_leq(x, y):
-        raise ValidationError(f"pair is not ordered: {x} !<= {y}")
-    blocks = _blocks(x, y)
-    pairs = [_species(*blocks, lbl) for lbl in range(sum(x))]
-    return Labeling(tuple(s1 for s1, _ in pairs), tuple(s2 for _, s2 in pairs),
-                    sum(x) - x[-1], y[-1])
-
-
 def _blocks(x, y) -> tuple[list[int], int, list[int]]:
     """Block form of the labeling: (block ends of x, cut, surplus ends)."""
     ends = list(accumulate(x))

@@ -10,6 +10,7 @@ makes the kernel dense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +52,11 @@ class TransitionMatrix:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def kt(self) -> sp.csr_matrix:
+        """K^T in CSR form, built once for stationary and tv_curve."""
+        return self.csr.T.tocsr()
 
 
 def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> TransitionMatrix:
@@ -143,7 +149,7 @@ def stationary(tm: TransitionMatrix) -> np.ndarray:
     start = _start(tm)
     settled = False
     if start is not None:
-        pi, settled = _power_iterate(tm.csr.T.tocsr(), start)
+        pi, settled = _power_iterate(tm.kt, start)
     if not settled:
         pi = _solve_direct(tm.csr)
     pi = pi / pi.sum()
@@ -167,14 +173,13 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     if pi is None:
         pi = stationary(tm)
-    kt = tm.csr.T.tocsr()
     v = np.zeros(tm.dim)
     v[tm.index[x0]] = 1.0
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
         out[n] = 0.5 * float(np.abs(v - pi).sum())
         if n < n_max:
-            v = kt @ v
+            v = tm.kt @ v
     return out
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .statespace import Composition, validate_composition
+from .statespace import Composition, compositions, validate_composition
 
 _ROW_SUM_TOL = 1e-10
 _PROB_VEC_TOL = 1e-12
@@ -362,27 +363,6 @@ def moran_row(spec: MoranGeneral, x: Composition) -> TransitionRow:
     return TransitionRow(x, probs)
 
 
-def compositions_of(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of ``total`` into ``parts`` parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions_of(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def bounded_compositions(total: int, bounds: Composition) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` with entrywise upper bounds."""
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in bounded_compositions(total - first, bounds[1:]):
-            yield (first,) + rest
-
-
 def _multinomial_coef(a: tuple[int, ...]) -> int:
     c = math.factorial(sum(a))
     for ai in a:
@@ -453,9 +433,11 @@ def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return row, path, prob[row, path]
 
 
-def _urn_offsets(spec: UrnSpec) -> np.ndarray:
-    """Successor offsets a - r of the urn paths: removal-major, addition-major up-down."""
-    comps = np.array(list(compositions_of(spec.s, spec.d)), dtype=np.int64)
+def _urn_offsets(spec: UrnSpec, comps: np.ndarray) -> np.ndarray:
+    """Successor offsets a - r of the urn paths: removal-major, addition-major up-down.
+
+    comps holds the compositions of s into d parts, in lex order.
+    """
     if spec.order == "updown":
         diff = comps[:, None, :] - comps[None, :, :]
     else:
@@ -502,15 +484,15 @@ def _addition_probs(spec: UrnSpec, counts: np.ndarray, n_balls: int,
     return out / _rising(total, s, inc)
 
 
-def _urn_paths(spec: UrnSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _urn_paths(spec: UrnSpec, x: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, ...]:
     """The urn paths from each state with their probabilities, as _add_pmf and _hypergeom_pmf form them.
 
     Returns (row, path, prob) over the paths whose removal fits, state by
     state in path order: removal r outer and addition a inner, path
-    r * n + a over the n compositions of s (up-down: a outer, path a * n + r).
+    r * n + a over the n compositions of s in comps (up-down: a outer, path
+    a * n + r).
     """
-    N, d, s = spec.N, spec.d, spec.s
-    comps = np.array(list(compositions_of(s, d)), dtype=np.int64)
+    N, s = spec.N, spec.s
     n = len(comps)
     if spec.order == "updown":
         pa = _addition_probs(spec, x, N, comps)  # [state, a]
@@ -557,15 +539,16 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
     """
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
-        offsets, paths = _moran_offsets(spec.d), _moran_paths
+        offsets, paths = _moran_offsets(spec.d), partial(_moran_paths, spec)
     else:
-        offsets, paths = _urn_offsets(spec), _urn_paths
+        comps = compositions(spec.s, spec.d)
+        offsets, paths = _urn_offsets(spec, comps), partial(_urn_paths, spec, comps=comps)
     # Paths with equal offsets lead to one successor, whatever the state.
     code = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
     block = max(1, _PATH_BUDGET // len(offsets))
     for lo in range(0, len(states), block):
         x = states[lo:lo + block]
-        row, path, prob = paths(spec, x)
+        row, path, prob = paths(x)
         _, first, inverse = np.unique(row * len(offsets) + code[path],
                                       return_index=True, return_inverse=True)
         sums = np.bincount(inverse, weights=prob)
@@ -575,27 +558,6 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
         row = row[first]
         _check_rows(x, row, probs)
         yield np.bincount(row, minlength=len(x)), x[row] + offsets[path[first]], probs
-
-
-def urn_row(spec: UrnSpec, x: Composition) -> TransitionRow:
-    """Row of an urn chain: hypergeometric removals and weighted additions in the spec's order."""
-    if not isinstance(spec, UrnSpec):
-        raise ValidationError(f"urn_row needs an urn spec, got {type(spec).__name__}")
-    x = validate_composition(x, spec.N, spec.d)
-    ((_, succ, probs),) = kernel_rows(spec, np.array([x], dtype=np.int64))
-    return TransitionRow(x, dict(zip(map(tuple, succ.tolist()), probs.tolist())))
-
-
-polya_row = ehrenfest_row = urn_row
-
-
-def _at_least(total: int, floor, bounds) -> Iterator[tuple[int, ...]]:
-    """Weak compositions c of ``total`` with floor <= c <= bounds entrywise."""
-    rest = total - sum(floor)
-    if rest < 0:
-        return
-    for c in bounded_compositions(rest, tuple(b - f for b, f in zip(bounds, floor))):
-        yield tuple(ci + fi for ci, fi in zip(c, floor))
 
 
 def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
@@ -612,17 +574,21 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
     x = validate_composition(x, N, d)
     z = validate_composition(z, N, d)
+    comps = compositions(s, d)
     out = 0.0
     if spec.order == "updown":
         beta, total = spec.add_weights(x, N)
         denom = math.comb(N + s, s)
-        for a in _at_least(s, [max(0, zi - xi) for xi, zi in zip(x, z)], (s,) * d):
+        # a >= z - x, so that z is reachable by removals.
+        for a in comps[(comps >= np.subtract(z, x)).all(axis=1)].tolist():
             grown = tuple(xi + ai for xi, ai in zip(x, a))
             r = tuple(g - zi for g, zi in zip(grown, z))
             out += _add_pmf(a, beta, total, inc) * _hypergeom_pmf(r, grown, denom)
         return out
     denom = math.comb(N, s)
-    for r in _at_least(s, [max(0, xi - zi) for xi, zi in zip(x, z)], x):
+    # x - z <= r <= x, so that the removal fits and z is reachable by additions.
+    fits = (comps >= np.subtract(x, z)) & (comps <= x)
+    for r in comps[fits.all(axis=1)].tolist():
         base = tuple(xi - ri for xi, ri in zip(x, r))
         # Level-order additions see the urn before the marked balls leave.
         beta, total = (spec.add_weights(x, N) if spec.order == "level"
@@ -637,7 +603,9 @@ def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
         return moran_row(spec, x)
-    return urn_row(spec, x)
+    x = validate_composition(x, spec.N, spec.d)
+    ((_, succ, probs),) = kernel_rows(spec, np.array([x], dtype=np.int64))
+    return TransitionRow(x, dict(zip(map(tuple, succ.tolist()), probs.tolist())))
 
 
 def mean_drift(spec: MoranGeneral, x: Composition) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -56,11 +57,28 @@ def validate_composition(x, n_total: int | None = None, d: int | None = None) ->
     return xt
 
 
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All weak compositions of total into parts >= 2 parts, lex with the first part outermost.
+
+    Stars and bars: itertools.combinations gives the parts - 1 bar positions
+    among total + parts - 1 slots in lex order, which is the lex order of the
+    compositions, and the gaps between consecutive bars (and the ends) are the
+    parts.
+    """
+    slots = total + parts - 1
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=np.int64).reshape(-1, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
 def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> list[Composition]:
     """All compositions of n_total into d parts, colex on the first d-1 coordinates.
 
-    Raises CapacityError when the state space exceeds ``cap`` (pass None to
-    disable the check).
+    Colex order is the lex order of compositions(n_total, d) read with its
+    first d-1 columns reversed: the lex array's first part, varying slowest,
+    becomes coordinate d-2, and its last column stays last.  Raises
+    CapacityError when the state space exceeds ``cap`` (pass None to disable
+    the check).
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got d={d}")
@@ -71,21 +89,8 @@ def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) 
             f"(cap {cap})"
         )
 
-    states: list[Composition] = []
-
-    # Coordinate d-2 (last prefix coordinate) in the outer loop, coordinate 0
-    # innermost, matching colex order.
-    def gen(k: int, remaining: int):
-        if k == 0:
-            yield ()
-            return
-        for last in range(remaining + 1):
-            for rest in gen(k - 1, remaining - last):
-                yield rest + (last,)
-
-    for prefix in gen(d - 1, n_total):
-        states.append(prefix + (n_total - sum(prefix),))
-    return states
+    parts = compositions(n_total, d).T.tolist()
+    return list(zip(*parts[-2::-1], parts[-1]))
 
 
 def rank(x: Composition) -> int:

@@ -238,14 +238,14 @@ def test_criterion_10_urn_rows_match_ordered_draw_oracle():
                 }
                 for x in mc.enumerate_states(n, d):
                     for kind, spec in specs.items():
-                        closed = mc.polya_row(spec, x).probs
+                        closed = mc.transition_row(spec, x).probs
                         oracle = polya_row_oracle(kind, x, s, a_d)
                         for succ in set(closed) | set(oracle):
                             err = abs(
                                 closed.get(succ, 0.0) - float(oracle.get(succ, Fraction(0)))
                             )
                             worst = max(worst, err)
-                    closed = mc.ehrenfest_row(mc.Ehrenfest(n, s, p_f), x).probs
+                    closed = mc.transition_row(mc.Ehrenfest(n, s, p_f), x).probs
                     oracle = ehrenfest_row_oracle(x, s, p_d)
                     for succ in set(closed) | set(oracle):
                         err = abs(closed.get(succ, 0.0) - float(oracle.get(succ, Fraction(0))))

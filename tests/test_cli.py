@@ -511,6 +511,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
             assert message in capsys.readouterr().err, (command, field, value)
     assert main(["couple", "--config", couple, "--seed", "-3"]) == 2
     capsys.readouterr()
+    # A config that is not a JSON object exits 2, not with a traceback.
+    for doc in (5, None, "model", [1]):
+        bad = _write(tmp_path, doc, "b9.json")
+        assert main(["bounds", "--config", bad]) == 2, doc
+        assert "must be an object" in capsys.readouterr().err, doc
 
 
 def test_bad_output_paths_exit_2(tmp_path, capsys):

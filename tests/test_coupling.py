@@ -13,7 +13,6 @@ from monochain import (
     PolyaLevel,
     PolyaUpDown,
     ValidationError,
-    build_labeling,
     coupled_step,
     dominated_pick,
     model_eigendata,
@@ -47,19 +46,22 @@ FAMILIES = [
 
 
 def test_labeling_reproduces_worked_example():
-    lab = build_labeling((1, 5, 7, 4), (2, 5, 8, 2))
-    assert lab.k1 == 13 and lab.k2 == 2
+    x, y = (1, 5, 7, 4), (2, 5, 8, 2)
+    pop1, pop2 = pair_labels(x, y)
+    assignments = list(zip(pop1, pop2))
+    # The cut is k1 + k2 with k1 = N - x_d = 13 and k2 = y_d = 2.
+    assert _blocks(x, y)[1] == 13 + 2
     # The two surplus individuals of population 2 take the unused labels of
     # population 1's last species block, in ascending species order.
-    assert lab.assignments[15] == (3, 0)
-    assert lab.assignments[16] == (3, 2)
+    assert assignments[15] == (3, 0)
+    assert assignments[16] == (3, 2)
     # Shared labels carry equal species.
-    assert all(s1 == s2 for s1, s2 in lab.assignments[:15])
+    assert all(s1 == s2 for s1, s2 in assignments[:15])
 
 
 def test_labeling_identical_states():
-    lab = build_labeling((2, 1, 3), (2, 1, 3))
-    assert all(s1 == s2 for s1, s2 in lab.assignments)
+    pop1, pop2 = pair_labels((2, 1, 3), (2, 1, 3))
+    assert all(s1 == s2 for s1, s2 in zip(pop1, pop2))
 
 
 def test_labeling_invariants_random_pairs():
@@ -68,18 +70,14 @@ def test_labeling_invariants_random_pairs():
         d = int(rng.integers(2, 5))
         n = int(rng.integers(d, 13))
         x, y = random_ordered_pair(rng, n, d)
-        lab = build_labeling(x, y)
-        cut = lab.k1 + lab.k2
-        assert all(s1 == s2 for s1, s2 in lab.assignments[:cut])
-        assert all(s1 == d - 1 and s2 < d - 1 for s1, s2 in lab.assignments[cut:])
+        pop1, pop2 = pair_labels(x, y)
+        assignments = list(zip(pop1, pop2))
+        cut = _blocks(x, y)[1]
+        assert all(s1 == s2 for s1, s2 in assignments[:cut])
+        assert all(s1 == d - 1 and s2 < d - 1 for s1, s2 in assignments[cut:])
         for sp in range(d):
-            assert sum(1 for s in lab.pop1 if s == sp) == x[sp]
-            assert sum(1 for s in lab.pop2 if s == sp) == y[sp]
-
-
-def test_labeling_rejects_unordered_pair():
-    with pytest.raises(ValidationError):
-        build_labeling((2, 0, 1), (0, 2, 1))
+            assert sum(1 for s in pop1 if s == sp) == x[sp]
+            assert sum(1 for s in pop2 if s == sp) == y[sp]
 
 
 def test_dominated_pick_interval_measures():
@@ -123,11 +121,11 @@ def test_dominated_pick_order_property_bulk():
 def test_shared_label_removal_preserves_order_worked_example():
     # Removing labels 6, 8, 14, 16 (1-based) from the labeled pair
     # x=(1,5,7,4), y=(2,5,8,2) leaves (1,4,6,2) <= (1,4,7,1).
-    lab = build_labeling((1, 5, 7, 4), (2, 5, 8, 2))
+    pop1, pop2 = pair_labels((1, 5, 7, 4), (2, 5, 8, 2))
     x, y = [1, 5, 7, 4], [2, 5, 8, 2]
     for label in (5, 7, 13, 15):  # 0-based
-        x[lab.pop1[label]] -= 1
-        y[lab.pop2[label]] -= 1
+        x[pop1[label]] -= 1
+        y[pop2[label]] -= 1
     assert x == [1, 4, 6, 2] and y == [1, 4, 7, 1]
     assert partial_leq(tuple(x), tuple(y))
 
@@ -318,7 +316,6 @@ def test_block_map_matches_explicit_label_lists():
         blocks = _blocks(x, y)
         expected = tuple(zip(pop1, pop2))
         assert tuple(_species(*blocks, lbl) for lbl in range(n)) == expected
-        assert build_labeling(x, y).assignments == expected
 
 
 def test_coupled_steps_match_explicit_label_lists():

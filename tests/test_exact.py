@@ -99,8 +99,8 @@ def _corrupt_first_row(change):
     """Wrap kernels._urn_paths so that ``change`` edits the path probabilities of state 0."""
     paths = kernels._urn_paths
 
-    def corrupted(spec, x):
-        row, path, prob = paths(spec, x)
+    def corrupted(spec, x, comps):
+        row, path, prob = paths(spec, x, comps)
         prob = prob.copy()
         prob[row == 0] = change(prob[row == 0])
         return row, path, prob
@@ -304,6 +304,16 @@ def test_tv_curve_starts_at_complement_of_stationary_mass():
     x0 = (2, 2, 2)
     curve = tv_curve(tm, x0, 0)
     assert curve[0] == pytest.approx(1.0 - pi[tm.index[x0]], abs=1e-12)
+
+
+def test_stationary_and_tv_curve_share_one_transpose():
+    tm = build_matrix(PolyaLevel(6, 1, (1.0, 2.0, 1.5)))
+    pi = stationary(tm)
+    kt = vars(tm)["kt"]  # built by the power iteration from the closed form
+    tv_curve(tm, (2, 2, 2), 5, pi)
+    tv_curve(tm, (0, 0, 6), 5)
+    assert vars(tm)["kt"] is kt
+    assert (kt != tm.csr.T).nnz == 0
 
 
 def test_tv_curve_deterministic():

@@ -14,11 +14,9 @@ from monochain import (
     PolyaUpDown,
     UrnSpec,
     ValidationError,
-    ehrenfest_row,
     enumerate_states,
     mean_drift,
     moran_row,
-    polya_row,
     sample_step,
     spec_from_json,
     spec_to_json,
@@ -101,7 +99,7 @@ def test_mean_drift_formula_and_row_expectation():
 
 def test_ehrenfest_full_redistribution_forgets_state():
     spec = Ehrenfest(3, 3, (0.5, 0.25, 0.25))
-    rows = [ehrenfest_row(spec, x).probs for x in enumerate_states(3, 3)]
+    rows = [transition_row(spec, x).probs for x in enumerate_states(3, 3)]
     for other in rows[1:]:
         assert other.keys() == rows[0].keys()
         for succ in rows[0]:
@@ -109,19 +107,19 @@ def test_ehrenfest_full_redistribution_forgets_state():
 
 
 def test_ehrenfest_two_urn_case():
-    row = ehrenfest_row(Ehrenfest(2, 1, (0.5, 0.5)), (2, 0))
+    row = transition_row(Ehrenfest(2, 1, (0.5, 0.5)), (2, 0))
     assert row.probs == pytest.approx({(2, 0): 0.5, (1, 1): 0.5})
 
 
 def test_polya_level_single_ball_case():
     # Remove the one ball, add with weights (alpha + x) / 3: 2/3 vs 1/3.
-    row = polya_row(PolyaLevel(1, 1, (1.0, 1.0)), (1, 0))
+    row = transition_row(PolyaLevel(1, 1, (1.0, 1.0)), (1, 0))
     assert row.probs == pytest.approx({(1, 0): 2 / 3, (0, 1): 1 / 3})
 
 
 def test_polya_downup_full_swap_forgets_state():
     spec = PolyaDownUp(3, 3, (1.0, 2.0))
-    rows = [polya_row(spec, x).probs for x in enumerate_states(3, 2)]
+    rows = [transition_row(spec, x).probs for x in enumerate_states(3, 2)]
     for other in rows[1:]:
         for succ in rows[0]:
             assert other[succ] == pytest.approx(rows[0][succ], abs=1e-14)
@@ -136,7 +134,7 @@ def test_polya_rows_match_ordered_draw_oracle(kind, ctor):
     alpha = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     spec = ctor(3, 2, tuple(float(a) for a in alpha))
     for x in enumerate_states(3, 3):
-        closed = polya_row(spec, x).probs
+        closed = transition_row(spec, x).probs
         oracle = polya_row_oracle(kind, x, 2, alpha)
         assert set(closed) == {k for k, v in oracle.items() if v > 0}
         for succ, pr in oracle.items():
@@ -147,7 +145,7 @@ def test_ehrenfest_rows_match_ordered_draw_oracle():
     p = (Fraction(1, 4), Fraction(3, 4))
     spec = Ehrenfest(3, 2, tuple(float(v) for v in p))
     for x in enumerate_states(3, 2):
-        closed = ehrenfest_row(spec, x).probs
+        closed = transition_row(spec, x).probs
         oracle = ehrenfest_row_oracle(x, 2, p)
         for succ, pr in oracle.items():
             assert closed.get(succ, 0.0) == pytest.approx(float(pr), abs=1e-13)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from monochain import (
     unrank,
     validate_composition,
 )
-from monochain.statespace import ranks
+from monochain.statespace import compositions, ranks
 
 
 def test_enumerate_tiny_cases():
@@ -47,12 +48,23 @@ def test_cap_rejection_names_size():
 
 
 def test_rank_unrank_roundtrip_exhaustive():
-    for n, d in [(4, 3), (2, 2), (5, 4), (0, 3)]:
+    # (44, 3) and (17, 4) are the exact benchmark's state spaces.
+    for n, d in [(4, 3), (2, 2), (5, 4), (0, 3), (44, 3), (17, 4)]:
         states = enumerate_states(n, d)
         for i, x in enumerate(states):
             assert rank(x) == i
             assert unrank(i, n, d) == x
         assert ranks(np.array(states), n).tolist() == list(range(len(states)))
+
+
+def test_compositions_match_filtered_product():
+    for total in range(7):
+        for parts in range(2, 6):
+            expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                        if sum(c) == total]
+            got = compositions(total, parts)
+            assert got.dtype == np.int64
+            assert list(map(tuple, got.tolist())) == expected, (total, parts)
 
 
 def test_rank_unrank_endpoints():
