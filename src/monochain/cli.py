@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -311,7 +312,9 @@ def cmd_spectral(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="monochain",
         description="Monotone Markov chains: TV bounds, exact curves, couplings.",
@@ -347,8 +350,11 @@ def main(argv=None) -> int:
     p_spec = sub.add_parser("spectral", help="eigenvalue/eigenfunction report (JSON)")
     add_common(p_spec)
     p_spec.add_argument("--output", help="also write the JSON report here")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "bounds": cmd_bounds,
         "exact": cmd_exact,

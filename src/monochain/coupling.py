@@ -29,6 +29,7 @@ case population 2 lands on the same i.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
@@ -55,10 +56,11 @@ def _blocks(x, y) -> tuple[list[int], int, list[int]]:
 
 def _species(ends, cut, surplus, lbl: int) -> tuple[int, int]:
     """(population 1 species, population 2 species) of a label below N."""
-    sp = bisect_right(ends, lbl)
     if lbl < cut:
+        sp = bisect_right(ends, lbl)
         return sp, sp
-    return sp, bisect_right(surplus, lbl - cut)
+    # Population 1's last block holds every label from the cut up.
+    return len(ends) - 1, bisect_right(surplus, lbl - cut)
 
 
 def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
@@ -86,7 +88,17 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
 
 
 def _draw_distinct(rng, n: int, k: int) -> list[int]:
-    """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only."""
+    """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only.
+
+    One scalar draw per label.  One or two labels need no store: the second
+    draw lands on the first label's slot only to take slot 0's label.
+    """
+    if k == 1:
+        return [int(rng.integers(0, n))]
+    if k == 2:
+        first = int(rng.integers(0, n))
+        j = 1 + int(rng.integers(0, n - 1))
+        return [first, 0 if j == first else j]
     moved: dict[int, int] = {}
     out = []
     for t in range(k):
@@ -144,8 +156,18 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -
 
     Population 1 draws by the weights of cx, population 2 by those of cy; each
     draw adds the spec's increment to the weight it picks.  The balls go into
-    the count lists out1 and out2, and their urn pairs onto ``added`` if given.
+    the count lists out1 and out2, and their urn pairs onto ``added`` if given
+    (up-down, whose draws are always reinforced).  Draws that add nothing read
+    the spec's own weights in both populations, where dominated_pick is plain
+    pick_index: both land on the same urn.
     """
+    if not spec.reinforced:
+        w, total = spec.weights, spec.weight_total
+        for _ in range(spec.s):
+            i = pick_index(rng.random() * total, w)
+            out1[i] += 1
+            out2[i] += 1
+        return
     w1, total = spec.add_weights(cx, n_balls)
     w2, _ = spec.add_weights(cy, n_balls)
     inc = spec.inc
@@ -193,10 +215,19 @@ def coupled_urn_step(spec: UrnSpec, pair: CoupledPair, rng: np.random.Generator)
 
 def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
     """Dispatch one coupled step for any model spec."""
-    spec = expand_standard(spec)
-    if isinstance(spec, MoranGeneral):
-        return coupled_moran_step(spec.M, pair, rng)
-    return coupled_urn_step(spec, pair, rng)
+    if isinstance(spec, UrnSpec):
+        return coupled_urn_step(spec, pair, rng)
+    return coupled_moran_step(expand_standard(spec).M, pair, rng)
+
+
+@lru_cache(maxsize=8)
+def _monotone(M: MutationMatrix) -> bool:
+    """Whether M meets a dominated-last-row condition, checked once per matrix.
+
+    A mutation matrix is immutable and hashed by identity, so the replicates
+    of one run share a single check.
+    """
+    return classify_conditions(M).any_holds
 
 
 def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
@@ -215,7 +246,7 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     y0 = validate_composition(y0, n, d)
     if not partial_leq(x0, y0):
         raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
-    if isinstance(spec, MoranGeneral) and not classify_conditions(spec.M).any_holds:
+    if isinstance(spec, MoranGeneral) and not _monotone(spec.M):
         raise ValidationError(
             "coupled Moran steps need a mutation matrix satisfying a "
             "dominated-last-row monotonicity condition"

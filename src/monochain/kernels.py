@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from operator import add
 from typing import Iterator, Union
 
 import numpy as np
@@ -237,8 +238,7 @@ class UrnSpec:
         counts[i] may be an array of the counts of urn i over many states.
         """
         if self.reinforced:
-            return ([w + c for w, c in zip(self.weights, counts)],
-                    self.weight_total + n_balls)
+            return list(map(add, self.weights, counts)), self.weight_total + n_balls
         return list(self.weights), self.weight_total
 
 
@@ -433,6 +433,17 @@ def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return row, path, prob[row, path]
 
 
+@lru_cache(maxsize=8)
+def _step_vectors(s: int, d: int) -> np.ndarray:
+    """compositions(s, d), the removal and addition vectors of an urn step, read-only.
+
+    Shared by kernel_rows and every transition_prob call with the same (s, d).
+    """
+    comps = compositions(s, d)
+    comps.setflags(write=False)
+    return comps
+
+
 def _urn_offsets(spec: UrnSpec, comps: np.ndarray) -> np.ndarray:
     """Successor offsets a - r of the urn paths: removal-major, addition-major up-down.
 
@@ -541,7 +552,7 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
     if isinstance(spec, MoranGeneral):
         offsets, paths = _moran_offsets(spec.d), partial(_moran_paths, spec)
     else:
-        comps = compositions(spec.s, spec.d)
+        comps = _step_vectors(spec.s, spec.d)
         offsets, paths = _urn_offsets(spec, comps), partial(_urn_paths, spec, comps=comps)
     # Paths with equal offsets lead to one successor, whatever the state.
     code = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
@@ -574,7 +585,7 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
     x = validate_composition(x, N, d)
     z = validate_composition(z, N, d)
-    comps = compositions(s, d)
+    comps = _step_vectors(s, d)
     out = 0.0
     if spec.order == "updown":
         beta, total = spec.add_weights(x, N)
@@ -637,36 +648,48 @@ def pick_index(v: float, weights) -> int:
     return last
 
 
-def _hypergeom_counts(rng, x: Composition, s: int) -> list[int]:
-    """Counts of a uniform s-subset of balls per urn, drawn urn by urn."""
-    remaining = sum(x)
+def _remove_counts(rng, counts, s: int, out: list[int]) -> None:
+    """Take a uniform s-subset of the balls in ``counts`` out of the count list ``out``.
+
+    The subset is drawn urn by urn: each urn with a choice inverts one uniform
+    through its conditional hypergeometric law in index order, as pick_index
+    does, forming each weight only when the running sum reaches it.
+    ``counts`` may be ``out`` itself.
+    """
+    remaining = sum(counts)
     need = s
-    r = [0] * len(x)
-    for i, xi in enumerate(x):
+    for i, xi in enumerate(counts):
         if need == 0:
             break
         rest = remaining - xi
-        lo = max(0, need - rest)
+        k = max(0, need - rest)
         hi = min(need, xi)
-        if lo == hi:
-            k = lo
-        else:
+        if k < hi:
             denom = math.comb(remaining, need)
-            weights = [math.comb(xi, k) * math.comb(rest, need - k) / denom
-                       for k in range(lo, hi + 1)]
-            k = lo + pick_index(rng.random(), weights)
-        r[i] = k
+            v = rng.random()
+            cum = 0.0
+            while k < hi:
+                cum += math.comb(xi, k) * math.comb(rest, need - k) / denom
+                if v <= cum:
+                    break
+                k += 1
+        out[i] -= k
         need -= k
         remaining -= xi
-    return r
 
 
 def _add_counts(rng, spec: UrnSpec, counts, n_balls: int, out: list[int]) -> None:
     """The spec's s sequential additions, drawn with ``counts`` (n_balls balls) in the urns.
 
     Each draw adds the spec's increment to the weight it picks; the added
-    balls go into the count list ``out``.
+    balls go into the count list ``out``.  Draws that add nothing all read
+    the spec's own weights.
     """
+    if not spec.reinforced:
+        w, total = spec.weights, spec.weight_total
+        for _ in range(spec.s):
+            out[pick_index(rng.random() * total, w)] += 1
+        return
     w, total = spec.add_weights(counts, n_balls)
     inc = spec.inc
     for _ in range(spec.s):
@@ -699,13 +722,11 @@ def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Co
     out = list(x)
     if spec.order == "updown":
         _add_counts(rng, spec, x, N, out)
-        r = _hypergeom_counts(rng, out, s)
-        return tuple(g - ri for g, ri in zip(out, r))
-    r = _hypergeom_counts(rng, x, s)
-    for i, ri in enumerate(r):
-        out[i] -= ri
-    if spec.order == "level":
-        _add_counts(rng, spec, x, N, out)
+        _remove_counts(rng, out, s, out)
     else:
-        _add_counts(rng, spec, out, N - s, out)
+        _remove_counts(rng, x, s, out)
+        if spec.order == "level":
+            _add_counts(rng, spec, x, N, out)
+        else:
+            _add_counts(rng, spec, out, N - s, out)
     return tuple(out)

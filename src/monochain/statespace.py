@@ -28,6 +28,8 @@ Composition = tuple[int, ...]
 # so at d >= 5 such a space near this cap is not yet solvable on a desk machine.
 DEFAULT_STATE_CAP = 200_000
 
+_PLAIN_INT = frozenset({int})
+
 
 def state_count(n_total: int, d: int) -> int:
     """Number of compositions of n_total into d parts: C(n_total + d - 1, n_total)."""
@@ -44,12 +46,18 @@ def validate_composition(x, n_total: int | None = None, d: int | None = None) ->
     raw = tuple(x)
     if len(raw) < 2:
         raise ValidationError(f"composition needs at least 2 parts, got {raw!r}")
-    for c in raw:
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise ValidationError(f"composition entries must be integers, got {raw!r}")
-        if c < 0:
+    if {*map(type, raw)} == _PLAIN_INT:
+        # The common case, without the slower per-entry ABC checks.
+        if min(raw) < 0:
             raise ValidationError(f"composition entries must be >= 0, got {raw!r}")
-    xt = tuple(int(c) for c in raw)
+        xt = raw
+    else:
+        for c in raw:
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValidationError(f"composition entries must be integers, got {raw!r}")
+            if c < 0:
+                raise ValidationError(f"composition entries must be >= 0, got {raw!r}")
+        xt = tuple(int(c) for c in raw)
     if d is not None and len(xt) != d:
         raise ValidationError(f"composition {xt!r} has {len(xt)} parts, expected d={d}")
     if n_total is not None and sum(xt) != n_total:

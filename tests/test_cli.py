@@ -27,6 +27,7 @@ from monochain import (
     stationary,
     transition_row,
 )
+from monochain import cli
 from monochain.cli import _empirical_tv, main
 from helpers import delta_construction_matrix
 
@@ -186,6 +187,40 @@ def test_couple_summary_and_trajectories(tmp_path, capsys):
     # Same config and seed: identical summary.
     assert main(["couple", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out) == summary
+
+
+def test_successive_main_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path, args: seen.append(args) or real(path, args))
+    couple_cfg = _write(tmp_path, COUPLE, "couple.json")
+    bounds_cfg = _write(tmp_path, HUBBELL, "bounds.json")
+    assert main(["couple", "--config", couple_cfg, "--seed", "9", "--max-steps", "5",
+                 "--replicates", "2", "--start-upper", "3,3,0"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["bounds", "--config", bounds_cfg, "--epsilon", "0.05"]) == 0
+    capsys.readouterr()
+    assert main(["couple", "--config", couple_cfg]) == 0
+    last = json.loads(capsys.readouterr().out)
+    assert (first["max_steps"], first["replicates"]) == (5, 2)
+    assert (last["max_steps"], last["replicates"]) == (COUPLE["max_steps"], COUPLE["replicates"])
+    assert len({id(args) for args in seen}) == 3
+    assert vars(seen[1]) == {"command": "bounds", "config": bounds_cfg, "start": None,
+                             "seed": None, "epsilon": 0.05, "output": None}
+    assert vars(seen[2]) == {"command": "couple", "config": couple_cfg, "start": None,
+                             "seed": None, "start_upper": None, "replicates": None,
+                             "max_steps": None, "trajectories": None, "summary": None}
+
+
+def test_couple_checks_the_mutation_matrix_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = coupling.classify_conditions
+    monkeypatch.setattr(coupling, "classify_conditions",
+                        lambda M: calls.append(M) or real(M))
+    doc = dict(DELTA_MORAN, start_upper=[2, 2, 2], replicates=6, max_steps=30)
+    assert main(["couple", "--config", _write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["replicates"] == 6
+    assert len(calls) == 1
 
 
 def test_couple_contraction_statistics(tmp_path, capsys):

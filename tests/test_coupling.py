@@ -19,6 +19,7 @@ from monochain import (
     partial_leq,
     run_coupled,
 )
+from monochain import coupling
 from monochain.coupling import (
     _blocks,
     _coupled_adds,
@@ -187,6 +188,29 @@ def test_run_coupled_requires_monotone_mutation_matrix():
     ]))
     with pytest.raises(ValidationError, match="monotonicity"):
         run_coupled(bad, (0, 0, 6), (2, 2, 2), 10, np.random.default_rng(0))
+
+
+def test_run_coupled_checks_each_mutation_matrix_once(monkeypatch):
+    from monochain import MutationMatrix
+
+    calls = []
+    real = coupling.classify_conditions
+    monkeypatch.setattr(coupling, "classify_conditions",
+                        lambda M: calls.append(M) or real(M))
+    spec = MoranGeneral(8, delta_construction_matrix(0.05))
+    for seed in range(4):
+        run_coupled(spec, (0, 0, 8), (4, 3, 1), 20, np.random.default_rng(seed))
+    assert calls == [spec.M]
+    # A matrix that fails is refused on every call, not only the first.
+    bad = MoranGeneral(6, MutationMatrix([
+        [0.2, 0.4, 0.4],
+        [0.3, 0.4, 0.3],
+        [0.5, 0.1, 0.4],
+    ]))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="monotonicity"):
+            run_coupled(bad, (0, 0, 6), (2, 2, 2), 10, np.random.default_rng(0))
+    assert calls == [spec.M, bad.M]
 
 
 def test_run_coupled_keeps_only_the_steps_asked_for():

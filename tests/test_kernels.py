@@ -22,7 +22,8 @@ from monochain import (
     spec_to_json,
     transition_row,
 )
-from monochain.kernels import transition_prob
+from monochain.kernels import _step_vectors, kernel_rows, transition_prob
+from monochain.statespace import compositions
 from helpers import random_dominated_matrix, random_positive_matrix, random_state
 from oracles import ehrenfest_row_oracle, moran_row_oracle, polya_row_oracle
 
@@ -168,6 +169,25 @@ def test_transition_prob_matches_row_entries():
             row = transition_row(spec, x).probs
             for z in states:
                 assert transition_prob(spec, x, z) == pytest.approx(row.get(z, 0.0), abs=1e-15)
+
+
+def test_step_vectors_are_shared_and_read_only():
+    _step_vectors.cache_clear()
+    spec = PolyaDownUp(5, 2, (0.5, 2.0, 1.5))
+    x = (1, 2, 2)
+    transition_prob(spec, x, (2, 1, 2))
+    transition_prob(spec, x, (0, 0, 5))
+    next(kernel_rows(spec, np.array([x])))
+    info = _step_vectors.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    comps = _step_vectors(2, 3)
+    assert not comps.flags.writeable
+    with pytest.raises(ValueError):
+        comps[0, 0] = 1
+    assert np.array_equal(comps, compositions(2, 3))
+    # The enumerator itself caches nothing: state arrays stay fresh and writable.
+    fresh = compositions(2, 3)
+    assert fresh.flags.writeable and fresh is not compositions(2, 3)
 
 
 def test_sample_step_deterministic_given_seed():

@@ -6,11 +6,14 @@ import pytest
 
 from monochain import (
     CapacityError,
+    PolyaLevel,
     ValidationError,
     enumerate_states,
     minimal_element,
     partial_leq,
     rank,
+    run_coupled,
+    sample_step,
     state_count,
     unrank,
     validate_composition,
@@ -142,3 +145,39 @@ def test_minimal_element_dominates_everything():
     for x in states:
         if x != bottom:
             assert not all(partial_leq(x, y) for y in states)
+
+
+# Inputs the plain-int fast path of validate_composition must treat as the
+# general path does, at N = 8, d = 3: (input, phrase of the refusal).
+REFUSED_COMPOSITIONS = [
+    ((True, 7, 0), "must be integers"),
+    ((1.0, 7, 0), "must be integers"),
+    ((-1, 9, 0), "must be >= 0"),
+    ((8,), "at least 2 parts"),
+    ((1, 7, 0, 0), "expected d=3"),
+    ((1, 6, 0), "expected N=8"),
+]
+
+
+@pytest.mark.parametrize("x, phrase", REFUSED_COMPOSITIONS)
+def test_invalid_compositions_refused_everywhere(x, phrase):
+    spec = PolyaLevel(8, 2, (1.5, 2.0, 1.0))
+    with pytest.raises(ValidationError, match=phrase):
+        validate_composition(x, 8, 3)
+    with pytest.raises(ValidationError, match=phrase):
+        sample_step(spec, x, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=phrase):
+        run_coupled(spec, (0, 0, 8), x, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("x", [(np.int64(1), 7, 0), np.array([1, 7, 0])])
+def test_numpy_integer_compositions_become_ints(x):
+    out = validate_composition(x, 8, 3)
+    assert out == (1, 7, 0) and type(out) is tuple
+    assert all(type(c) is int for c in out)
+    spec = PolyaLevel(8, 2, (1.5, 2.0, 1.0))
+    step = sample_step(spec, x, np.random.default_rng(0))
+    assert step == sample_step(spec, (1, 7, 0), np.random.default_rng(0))
+    assert all(type(c) is int for c in step)
+    (pair,), coal = run_coupled(spec, x, (1, 7, 0), 5, np.random.default_rng(0))
+    assert coal == 0 and all(type(c) is int for c in pair.x)
