@@ -28,7 +28,7 @@ case population 2 lands on the same i.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
@@ -37,8 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
-from .kernels import (ModelSpec, MoranGeneral, MutationMatrix, UrnSpec, expand_standard,
-                      pick_index)
+from .kernels import ModelSpec, MoranGeneral, MutationMatrix, UrnSpec, expand_standard
 from .spectral import classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
 
@@ -123,7 +122,6 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     invalid.  Marginals follow the exact Moran row of each population.
     """
     x, y = pair
-    rows = M.rows
     ends, cut, surplus = _blocks(x, y)
     n = ends[-1]
 
@@ -134,11 +132,11 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     s1, s2 = _species(ends, cut, surplus, parent)
     if s1 == s2:
         # Shared label range: both offspring mutate through the same row.
-        born1 = born2 = pick_index(u, rows[s1])
+        born1 = born2 = bisect_left(M.cum_rows[s1], u)
     else:
         # Extra label: population 1's parent is species d, population 2's is
         # s2 < d, whose row dominates row d off the last column.
-        born1, born2 = dominated_pick(u, rows[-1], rows[s2])
+        born1, born2 = dominated_pick(u, M.rows[-1], M.rows[s2])
 
     dead1, dead2 = _species(ends, cut, surplus, death)
     xn = list(x)
@@ -162,9 +160,9 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -
     pick_index: both land on the same urn.
     """
     if not spec.reinforced:
-        w, total = spec.weights, spec.weight_total
+        cum, total = spec.cum_weights, spec.weight_total
         for _ in range(spec.s):
-            i = pick_index(rng.random() * total, w)
+            i = bisect_left(cum, rng.random() * total)
             out1[i] += 1
             out2[i] += 1
         return

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import accumulate
 from operator import add
 from typing import Iterator, Union
 
@@ -106,6 +108,8 @@ class MutationMatrix:
         self.d = d
         # Plain tuples for cheap scalar iteration in the sampling hot paths.
         self.rows = tuple(tuple(float(v) for v in row) for row in m)
+        # Partial sums of each row but its last entry, for bisect_left picks.
+        self.cum_rows = tuple(tuple(accumulate(row[:-1])) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"MutationMatrix(d={self.d})"
@@ -208,6 +212,7 @@ class UrnSpec:
     reinforced: bool
     weight_total: float = field(init=False, repr=False, compare=False)
     inc: float = field(init=False, repr=False, compare=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.order, self.reinforced) not in _URN_TAGS:
@@ -226,6 +231,9 @@ class UrnSpec:
                            math.fsum(weights) if self.reinforced else 1.0)
         # Weight an addition adds to the urn it picks.
         object.__setattr__(self, "inc", 1.0 if self.reinforced else 0.0)
+        # Partial sums of all weights but the last, for bisect_left picks
+        # from the spec's own weights (draws that add nothing).
+        object.__setattr__(self, "cum_weights", tuple(accumulate(weights[:-1])))
 
     @property
     def d(self) -> int:
@@ -321,7 +329,7 @@ class TransitionRow:
         for succ, p in self.probs.items():
             if p <= 0.0:
                 raise ValidationError(f"row entry for {succ!r} must be > 0, got {p}")
-            if len(succ) != d or sum(succ) != n or any(c < 0 for c in succ):
+            if len(succ) != d or sum(succ) != n or min(succ) < 0:
                 raise ValidationError(f"successor {succ!r} is not a valid composition")
             total += p
         if abs(total - 1.0) > _ROW_SUM_TOL:
@@ -339,7 +347,7 @@ def moran_row(spec: MoranGeneral, x: Composition) -> TransitionRow:
     N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
     # Offspring species distribution: parent uniform, then one mutation step.
-    target = spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)
+    target = (spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)).tolist()
     probs: dict = {}
     off_total = 0.0
     for j in range(d):
@@ -349,7 +357,7 @@ def moran_row(spec: MoranGeneral, x: Composition) -> TransitionRow:
         for i in range(d):
             if i == j:
                 continue
-            p = death_frac * float(target[i])
+            p = death_frac * target[i]
             if p > 0.0:
                 succ = list(x)
                 succ[i] += 1
@@ -637,7 +645,9 @@ def pick_index(v: float, weights) -> int:
 
     ``v`` is a uniform draw scaled to the weight total.  Boundary ties resolve
     to the lower index; shortfall of the float total falls through to the last
-    index.
+    index.  For fixed weights, ``bisect_left(cum, v)`` on the partial sums
+    ``cum = tuple(accumulate(weights[:-1]))`` gives the same index: accumulate
+    makes the same float additions, in the same order.
     """
     cum = 0.0
     last = len(weights) - 1
@@ -686,9 +696,9 @@ def _add_counts(rng, spec: UrnSpec, counts, n_balls: int, out: list[int]) -> Non
     the spec's own weights.
     """
     if not spec.reinforced:
-        w, total = spec.weights, spec.weight_total
+        cum, total = spec.cum_weights, spec.weight_total
         for _ in range(spec.s):
-            out[pick_index(rng.random() * total, w)] += 1
+            out[bisect_left(cum, rng.random() * total)] += 1
         return
     w, total = spec.add_weights(counts, n_balls)
     inc = spec.inc
@@ -712,7 +722,7 @@ def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Co
     if isinstance(spec, MoranGeneral):
         death = pick_index(rng.random() * N, x)
         parent = pick_index(rng.random() * N, x)
-        offspring = pick_index(rng.random(), spec.M.rows[parent])
+        offspring = bisect_left(spec.M.cum_rows[parent], rng.random())
         out = list(x)
         out[offspring] += 1
         out[death] -= 1

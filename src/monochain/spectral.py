@@ -44,12 +44,20 @@ class ConditionReport:
     weak_irreducible: weak domination with an irreducible reduced matrix.
     weak_positive_eigenvector: weak domination and power iteration on the
     reduced matrix converges to a strictly positive vector.
+
+    Under weak domination the Perron run made for the third condition is
+    kept: its eigenpair (lam_star, a_star), with a_star read-only like
+    ``reduced``, or the PerronConvergenceError it raised.  All three are None
+    without weak domination, where no run is made.
     """
 
     c1_holds: bool
     c2_holds: bool
     c3_holds: bool
     reduced: np.ndarray
+    lam_star: float | None
+    a_star: np.ndarray | None
+    perron_error: PerronConvergenceError | None
 
     @property
     def any_holds(self) -> bool:
@@ -69,14 +77,15 @@ def classify_conditions(M: MutationMatrix) -> ConditionReport:
     weak = bool(np.all(last <= col_min))
     strict = bool(np.all(last < col_min))
     c2 = weak and kernels._strongly_connected(reduced > 0.0)
-    c3 = False
+    lam_star = a_star = error = None
     if weak:
         try:
-            _, a_star = perron(reduced)
-            c3 = bool(np.all(a_star > 0.0))
-        except PerronConvergenceError:
-            c3 = False
-    return ConditionReport(strict, c2, c3, reduced)
+            lam_star, a_star = perron(reduced)
+            a_star.setflags(write=False)
+        except PerronConvergenceError as exc:
+            error = exc
+    c3 = a_star is not None and bool(np.all(a_star > 0.0))
+    return ConditionReport(strict, c2, c3, reduced, lam_star, a_star, error)
 
 
 def perron(m_star: np.ndarray,
@@ -103,13 +112,13 @@ def perron(m_star: np.ndarray,
     lam = 0.0
     for _ in range(max_iter):
         w = a @ v
-        mx = float(np.max(w))
+        mx = float(w.max())
         if mx <= 0.0:
             raise PerronConvergenceError(
                 "Perron iteration failed: iterate vanished (nilpotent reduced matrix?)"
             )
         w /= mx
-        if float(np.max(np.abs(w - v))) < step_tol:
+        if float(abs(w - v).max()) < step_tol:
             lam = mx
             v = w
             break
@@ -182,8 +191,10 @@ class EigenData:
 def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
     """Monotone eigenfunction of the Moran chain with mutation matrix M.
 
-    Requires one of the monotonicity conditions; verifies the row-wise eigen
-    identity on sample states before returning.
+    Requires one of the monotonicity conditions.  Reads the Perron eigenpair
+    of the reduced matrix from classify_conditions, so one power iteration
+    serves both, and raises the PerronConvergenceError that run met, if any.
+    Verifies the row-wise eigen identity on sample states before returning.
     """
     if n_total < 1:
         raise ValidationError(f"need N >= 1, got {n_total}")
@@ -193,7 +204,9 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
             "mutation matrix fails the dominated-last-row monotonicity conditions "
             "(strict domination / weak + irreducible reduced / weak + positive eigenvector)"
         )
-    lam_star, a_star = perron(report.reduced)
+    if report.perron_error is not None:
+        raise report.perron_error
+    lam_star, a_star = report.lam_star, report.a_star
     d = M.d
     a_d = math.fsum(M.matrix[d - 1, j] * a_star[j] for j in range(d - 1)) / (lam_star - 1.0)
     if not a_d < 0.0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,10 +7,12 @@ import pytest
 
 from monochain import (
     Ehrenfest,
+    MonochainError,
     MoranGeneral,
     MoranStandard,
     PolyaDownUp,
     PolyaLevel,
+    PolyaUpDown,
     UnknownStationaryError,
     ValidationError,
     bound_report,
@@ -25,7 +28,13 @@ from monochain import (
 )
 from monochain.bounds import stationary_log_pmf, stationary_log_pmfs
 from monochain.cli import main
-from helpers import delta_construction_matrix, random_model
+from helpers import (
+    delta_construction_matrix,
+    random_dominated_matrix,
+    random_model,
+    random_prob_vector,
+    random_state,
+)
 
 
 def test_steps_to_epsilon_golden_cases():
@@ -134,6 +143,37 @@ def test_bound_report_assembly_invariants():
             assert report.steps_crude >= 0
         checked += 1
     assert checked >= 25
+
+
+# sha256 of the bound_report JSON (or the error class and message) over a
+# seeded set of general Moran specs, d = 2..8 and N = 10..10^5, and a few urn
+# and standard specs.  A change to the eigendata or bound layers that keeps
+# every output keeps this digest.  The Ehrenfest spec at N = 10^5 pins the
+# crude bound's OverflowError; a fix of that overflow changes the digest.
+BOUND_REPORT_DIGEST = "37ec9eaef95fbbf3690c38a46917283fa0b8ff4aa7810429889677b3ff93a999"
+
+
+def bound_report_outcomes():
+    rng = np.random.default_rng(2013)
+    specs = [MoranGeneral(n, random_dominated_matrix(rng, d))
+             for d in range(2, 9) for n in (10, 1_000, 100_000)]
+    specs += [
+        MoranStandard(1_000, 0.3, random_prob_vector(rng, 4)),
+        PolyaLevel(500, 3, (0.7, 1.9, 2.4)),
+        PolyaUpDown(10_000, 2, (1.5, 2.0, 1.0, 0.5)),
+        Ehrenfest(100_000, 4, random_prob_vector(rng, 5)),
+    ]
+    for spec in specs:
+        x = random_state(rng, spec.N, spec.d)
+        try:
+            yield spec_to_json(spec), x, bound_report(spec, x, 0.01).to_json_dict()
+        except (MonochainError, OverflowError) as exc:  # failures are pinned too
+            yield spec_to_json(spec), x, f"{type(exc).__name__}: {exc}"
+
+
+def test_bound_reports_match_pinned_digest():
+    text = json.dumps(list(bound_report_outcomes()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUND_REPORT_DIGEST
 
 
 def test_bound_report_epsilon_above_coefficients():

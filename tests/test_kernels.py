@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,9 +24,14 @@ from monochain import (
     spec_to_json,
     transition_row,
 )
-from monochain.kernels import _step_vectors, kernel_rows, transition_prob
+from monochain.kernels import _step_vectors, kernel_rows, pick_index, transition_prob
 from monochain.statespace import compositions
-from helpers import random_dominated_matrix, random_positive_matrix, random_state
+from helpers import (
+    random_dominated_matrix,
+    random_positive_matrix,
+    random_prob_vector,
+    random_state,
+)
 from oracles import ehrenfest_row_oracle, moran_row_oracle, polya_row_oracle
 
 M2 = MutationMatrix([[0.9, 0.1], [0.2, 0.8]])
@@ -188,6 +195,32 @@ def test_step_vectors_are_shared_and_read_only():
     # The enumerator itself caches nothing: state arrays stay fresh and writable.
     fresh = compositions(2, 3)
     assert fresh.flags.writeable and fresh is not compositions(2, 3)
+
+
+def test_bisect_on_partial_sums_matches_pick_index():
+    """bisect_left on the precomputed partial sums is pick_index for fixed weights.
+
+    Checked on random uniforms, on each exact partial-sum value (ties go to
+    the lower index), just past it, and at and beyond the float total (the
+    fall-through to the last index).
+    """
+    rng = np.random.default_rng(31)
+    weight_sets = [row for d in range(2, 8) for row in random_positive_matrix(rng, d).rows]
+    weight_sets += [(0.3, 0.3, 0.4), (0.1,) * 10, (0.5, 0.0, 0.5), (1.0, 1e-300, 1e-17)]
+    weight_sets += [Ehrenfest(5, 1, random_prob_vector(rng, d)).weights for d in (2, 5)]
+    for w in weight_sets:
+        cum = tuple(accumulate(w[:-1]))
+        total = math.fsum(w)
+        vs = list(rng.random(500) * total) + [0.0, total, sum(w), 1.0, 1.0 + 1e-12, 2.0]
+        vs += list(cum) + [math.nextafter(c, math.inf) for c in cum]
+        vs += [math.nextafter(c, -math.inf) for c in cum]
+        for v in vs:
+            assert bisect_left(cum, v) == pick_index(v, w), (w, v)
+    # The specs keep exactly those partial sums.
+    m = random_positive_matrix(rng, 4)
+    assert m.cum_rows == tuple(tuple(accumulate(row[:-1])) for row in m.rows)
+    spec = Ehrenfest(5, 2, (0.3, 0.3, 0.4))
+    assert spec.cum_weights == tuple(accumulate(spec.weights[:-1]))
 
 
 def test_sample_step_deterministic_given_seed():

@@ -14,6 +14,7 @@ from monochain import (
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
+    bound_report,
     build_eigenfunction,
     build_matrix,
     classify_conditions,
@@ -22,6 +23,7 @@ from monochain import (
     model_eigendata,
     partial_leq,
     perron,
+    spectral,
     stationary,
     tv_bound_coefficients,
 )
@@ -55,6 +57,50 @@ def test_violating_matrix_fails_all_conditions():
         build_eigenfunction(m, 5)
 
 
+def test_report_keeps_a_read_only_eigenpair():
+    report = classify_conditions(delta_construction_matrix(0.05))
+    assert report.perron_error is None and 0.0 < report.lam_star < 1.0
+    for arr in (report.reduced, report.a_star):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    # Without weak domination no Perron run is made.
+    m = MutationMatrix([[0.2, 0.4, 0.4], [0.3, 0.4, 0.3], [0.5, 0.1, 0.4]])
+    report = classify_conditions(m)
+    assert report.lam_star is None and report.a_star is None and report.perron_error is None
+
+
+def test_perron_failure_under_weak_irreducible_condition():
+    """C2 holds but the Perron run oscillates: the error of that one run is raised.
+
+    The reduced matrix [[0, 0.5], [0.7, 0]] is irreducible with the tied
+    dominant pair +-sqrt(0.35), so power iteration never settles.
+    """
+    m = MutationMatrix([[0.1, 0.6, 0.3], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    report = classify_conditions(m)
+    assert report.c2_holds and not (report.c1_holds or report.c3_holds)
+    assert isinstance(report.perron_error, PerronConvergenceError)
+    assert report.lam_star is None and report.a_star is None
+    with pytest.raises(PerronConvergenceError) as info:
+        build_eigenfunction(m, 10)
+    assert str(info.value) == "Perron iteration failed to converge within 100000 iterations"
+
+
+def test_general_moran_eigendata_makes_one_perron_run(monkeypatch):
+    calls = []
+    real = spectral.perron
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "perron", counting)
+    spec = MoranGeneral(100, delta_construction_matrix(0.05))
+    model_eigendata(spec)
+    assert len(calls) == 1
+    bound_report(spec, (30, 30, 40), 0.01)
+    assert len(calls) == 2
+
+
 def test_perron_scaled_identity():
     lam, vec = perron(0.3 * np.eye(3))
     assert lam == pytest.approx(0.3, abs=1e-14)
@@ -79,6 +125,8 @@ def test_perron_residual_on_random_dominated_matrices():
         report = classify_conditions(m)
         assert report.c1_holds
         lam, vec = perron(report.reduced)
+        # The report keeps the pair of its own Perron run, bit for bit.
+        assert report.lam_star == lam and np.array_equal(report.a_star, vec)
         assert np.max(np.abs(report.reduced @ vec - lam * vec)) <= 1e-12
         assert np.all(vec > 0) and np.max(vec) == pytest.approx(1.0)
         # The dominant reduced eigenvalue is capped by the last diagonal entry.
