@@ -301,7 +301,9 @@ def cmd_spectral(cfg: RunConfig) -> int:
         raise NoMonotoneConditionError(
             "mutation matrix fails the dominated-last-row monotonicity conditions"
         )
-    ed = spectral.model_eigendata(cfg.spec)
+    # General Moran eigendata reuses the report's Perron run; standard Moran's is closed-form.
+    ed = (spectral.eigenfunction_from_report(expanded.M, expanded.N, report)
+          if isinstance(cfg.spec, MoranGeneral) else spectral.model_eigendata(cfg.spec))
     doc = ed.to_json_dict()
     doc["conditions"] = {
         "strict_domination": report.c1_holds,

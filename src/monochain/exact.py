@@ -4,8 +4,9 @@ Everything here materializes the full state space, so it is gated by the
 enumeration cap.  After a graph check that the kernel is irreducible and
 aperiodic, the stationary distribution comes from power iteration on K^T
 started from the closed-form law where there is one, and from one sparse
-direct solve otherwise; TV curves use row-sparse vector products.  Nothing
-makes the kernel dense.
+direct solve otherwise.  A TV curve writes its K^T products into the rows of
+a preallocated block and reduces each block's distances to stationarity at
+once.  Nothing makes the kernel dense.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import spsolve
 
@@ -23,8 +25,8 @@ from .kernels import ModelSpec, MoranGeneral, MoranStandard, expand_standard, ke
 from .statespace import (
     DEFAULT_STATE_CAP,
     Composition,
-    enumerate_states,
     ranks,
+    state_array,
     state_count,
     validate_composition,
 )
@@ -38,16 +40,27 @@ _STATIONARY_CHECK_TOL = 1e-12
 _STATIONARY_STOP_TOL = 1e-15
 _STATIONARY_CHECK_EVERY = 8
 _STATIONARY_POWER_BUDGET = 1 << 10
+# Floats in the block of iterates a TV curve holds at once (2 rows at least).
+_TV_BLOCK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Materialized kernel: states in enumeration order plus the sparse matrix."""
+    """Materialized kernel: states in enumeration order plus the sparse matrix.
+
+    state_array holds the states as an S x d int64 array; it is formed from
+    ``states`` when not given.
+    """
 
     spec: ModelSpec
     states: list[Composition]
     csr: sp.csr_matrix
     index: dict = field(repr=False)
+    state_array: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.state_array is None:
+            object.__setattr__(self, "state_array", np.asarray(self.states, dtype=np.int64))
 
     @property
     def dim(self) -> int:
@@ -66,9 +79,10 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     successor's column is its colex rank, which is its enumeration index.
     """
     expanded = expand_standard(spec)
-    states = enumerate_states(expanded.N, expanded.d, cap=cap)
+    array = state_array(expanded.N, expanded.d, cap=cap)
+    states = list(zip(*array.T.tolist()))
     lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
-    for n, succ, probs in kernel_rows(expanded, np.array(states, dtype=np.int64)):
+    for n, succ, probs in kernel_rows(expanded, array):
         lengths.append(n)
         cols.append(ranks(succ, expanded.N))
         data.append(probs)
@@ -77,7 +91,7 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
         shape=(len(states), len(states)),
     )
     return TransitionMatrix(spec=spec, states=states, csr=csr,
-                            index={x: i for i, x in enumerate(states)})
+                            index={x: i for i, x in enumerate(states)}, state_array=array)
 
 
 def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
@@ -100,22 +114,32 @@ def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
 def _start(tm: TransitionMatrix) -> np.ndarray | None:
     """The closed-form stationary law over tm.states, or None where none is known."""
     try:
-        log_pmf = stationary_log_pmfs(tm.spec, np.asarray(tm.states, dtype=np.int64))
+        log_pmf = stationary_log_pmfs(tm.spec, tm.state_array)
     except UnknownStationaryError:
         return None
     start = np.exp(log_pmf)
     return start / start.sum()
 
 
+def _product(kt: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += K^T v by scipy's CSR kernel, the one ``kt @ v`` calls on a zeroed vector.
+
+    v and out are contiguous float64 vectors; a zeroed out gets the bits of
+    ``kt @ v`` without its dispatch and allocation.
+    """
+    csr_matvec(kt.shape[0], kt.shape[1], kt.indptr, kt.indices, kt.data, v, out)
+    return out
+
+
 def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
     """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
     for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
-        prev, v = v, kt @ v
+        prev, v = v, _product(kt, v, np.zeros(len(v)))
         # A NaN settles too, and fails the residual check.
         if not float(np.max(np.abs(v - prev))) > _STATIONARY_STOP_TOL:
             return v, True
         for _ in range(_STATIONARY_CHECK_EVERY - 1):
-            v = kt @ v
+            v = _product(kt, v, np.zeros(len(v)))
     return v, False
 
 
@@ -165,7 +189,14 @@ def stationary(tm: TransitionMatrix) -> np.ndarray:
 
 def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
              pi: np.ndarray | None = None) -> np.ndarray:
-    """Exact TV distance to stationarity after 0..n_max steps from x0."""
+    """Exact TV distance to stationarity after 0..n_max steps from x0.
+
+    The distributions after successive steps fill the rows of a block of at
+    most _TV_BLOCK_BUDGET floats (2 rows at least), each row K^T times the
+    one before; then one subtract, abs and row sum over the block give its
+    distances.  Each row sum is the pairwise sum of 0.5 * |v - pi|.sum() on
+    that row alone, so the curve has the bits of the step-by-step recurrence.
+    """
     x0 = validate_composition(x0, None, None)
     if x0 not in tm.index:
         raise ValidationError(f"start state {x0!r} is not in the state space")
@@ -173,13 +204,22 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     if pi is None:
         pi = stationary(tm)
-    v = np.zeros(tm.dim)
-    v[tm.index[x0]] = 1.0
+    kt = tm.kt
+    rows = min(n_max + 1, max(2, _TV_BLOCK_BUDGET // tm.dim))
+    block = np.zeros((rows, tm.dim))
+    block[0, tm.index[x0]] = 1.0
     out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = 0.5 * float(np.abs(v - pi).sum())
-        if n < n_max:
-            v = tm.kt @ v
+    for lo in range(0, n_max + 1, rows):
+        k = min(rows, n_max + 1 - lo)
+        if lo:
+            _product(kt, last, block[0])
+        for r in range(1, k):
+            _product(kt, block[r - 1], block[r])
+        last = block[k - 1].copy()
+        dist = np.subtract(block[:k], pi, out=block[:k])
+        np.abs(dist, out=dist)
+        out[lo:lo + k] = 0.5 * dist.sum(axis=1)
+        block.fill(0.0)
     return out
 
 
@@ -213,7 +253,7 @@ def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
     """
     if tm.dim > 2_000:
         raise ValidationError(f"audit limited to 2000 states, got {tm.dim}")
-    states = np.asarray(tm.states, dtype=np.int64)
+    states = tm.state_array
     d = states.shape[1]
     prefix = states[:, : d - 1]
     comparable = np.all(prefix[:, None, :] <= prefix[None, :, :], axis=2)

@@ -551,10 +551,13 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
     removal and an addition vector for the urns.  Yields, for each block of
     consecutive states, (lengths, successors, probabilities): the entry count
     of each state, then its entries in the order of the first path to each
-    successor.  Paths to one successor are summed in path order, so every
-    entry equals a per-state sum in a dict.  Blocks hold at most
-    _PATH_BUDGET paths (one state at least).  Raises ValidationError when an
-    entry is not > 0 or a row does not sum to 1 within 1e-10.
+    successor.  Paths with one offset lead to one successor, so a block's
+    paths merge in a dense table indexed by (state, offset code): bincount
+    sums each cell in path order, so every entry equals a per-state sum in a
+    dict, and minimum.at finds each cell's first path.  Blocks hold at most
+    _PATH_BUDGET paths and table cells (one state at least).  Raises
+    ValidationError when an entry is not > 0 or a row does not sum to 1
+    within 1e-10.
     """
     spec = expand_standard(spec)
     if isinstance(spec, MoranGeneral):
@@ -564,16 +567,19 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
         offsets, paths = _urn_offsets(spec, comps), partial(_urn_paths, spec, comps=comps)
     # Paths with equal offsets lead to one successor, whatever the state.
     code = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
+    n_codes = int(code.max()) + 1
     block = max(1, _PATH_BUDGET // len(offsets))
     for lo in range(0, len(states), block):
         x = states[lo:lo + block]
         row, path, prob = paths(x)
-        _, first, inverse = np.unique(row * len(offsets) + code[path],
-                                      return_index=True, return_inverse=True)
-        sums = np.bincount(inverse, weights=prob)
-        order = np.argsort(first)
-        first = first[order]
-        probs = sums[order]
+        cell = row * n_codes + code[path]
+        sums = np.bincount(cell, weights=prob, minlength=len(x) * n_codes)
+        # A path is its cell's first when it holds the cell's least path index.
+        order = np.arange(len(cell))
+        first = np.full(len(x) * n_codes, len(cell))
+        np.minimum.at(first, cell, order)
+        first = np.flatnonzero(first[cell] == order)
+        probs = sums[cell[first]]
         row = row[first]
         _check_rows(x, row, probs)
         yield np.bincount(row, minlength=len(x)), x[row] + offsets[path[first]], probs

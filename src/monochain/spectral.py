@@ -196,9 +196,14 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
     serves both, and raises the PerronConvergenceError that run met, if any.
     Verifies the row-wise eigen identity on sample states before returning.
     """
+    return eigenfunction_from_report(M, n_total, classify_conditions(M))
+
+
+def eigenfunction_from_report(M: MutationMatrix, n_total: int,
+                              report: ConditionReport) -> EigenData:
+    """build_eigenfunction with classify_conditions(M) already made, as ``report``."""
     if n_total < 1:
         raise ValidationError(f"need N >= 1, got {n_total}")
-    report = classify_conditions(M)
     if not report.any_holds:
         raise NoMonotoneConditionError(
             "mutation matrix fails the dominated-last-row monotonicity conditions "

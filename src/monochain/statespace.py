@@ -79,14 +79,14 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
-def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> list[Composition]:
+def state_array(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> np.ndarray:
     """All compositions of n_total into d parts, colex on the first d-1 coordinates.
 
-    Colex order is the lex order of compositions(n_total, d) read with its
-    first d-1 columns reversed: the lex array's first part, varying slowest,
-    becomes coordinate d-2, and its last column stays last.  Raises
-    CapacityError when the state space exceeds ``cap`` (pass None to disable
-    the check).
+    Returns a read-only S x d int64 array.  Colex order is the lex order of
+    compositions(n_total, d) read with its first d-1 columns reversed: the
+    lex array's first part, varying slowest, becomes coordinate d-2, and its
+    last column stays last.  Raises CapacityError when the state space
+    exceeds ``cap`` (pass None to disable the check).
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got d={d}")
@@ -96,9 +96,14 @@ def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) 
             f"state space too large: {size} states for N={n_total}, d={d} "
             f"(cap {cap})"
         )
+    states = compositions(n_total, d)[:, [*range(d - 2, -1, -1), d - 1]]
+    states.setflags(write=False)
+    return states
 
-    parts = compositions(n_total, d).T.tolist()
-    return list(zip(*parts[-2::-1], parts[-1]))
+
+def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> list[Composition]:
+    """The rows of state_array(n_total, d, cap) as tuples, in the same colex order."""
+    return list(zip(*state_array(n_total, d, cap).T.tolist()))
 
 
 def rank(x: Composition) -> int:

@@ -27,7 +27,7 @@ from monochain import (
     stationary,
     transition_row,
 )
-from monochain import cli
+from monochain import cli, spectral
 from monochain.cli import _empirical_tv, main
 from helpers import delta_construction_matrix
 
@@ -468,6 +468,48 @@ def test_spectral_delta_construction(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["conditions"]["strict_domination"] is True
     assert out["conditions"]["weak_domination_irreducible"] is True
+
+
+# General Moran configs (N = 6, d = 3 and N = 40, d = 5) and a standard one,
+# with the sha256 of their ``monochain spectral`` stdout.
+SPECTRAL_DIGESTS = [
+    (DELTA_MORAN,
+     "8cf0269667e602dadb1097b16dc58a6662fb3c7258d78a3e28a14b77f8f9757e"),
+    ({"model": {"model": "moran_general", "N": 40, "mutation_matrix": [
+        [0.08071615825672791, 0.14643777061443777, 0.39185423498327643,
+         0.2965889893656557, 0.08440284677990217],
+        [0.22028524852760262, 0.2392609517436984, 0.1073227538224566,
+         0.3448428907608592, 0.08828815514538316],
+        [0.15529309063472044, 0.19497148358129346, 0.16774864892089064,
+         0.2171192021665572, 0.2648675746965382],
+        [0.31269453761267424, 0.11373788659890009, 0.22159791636767612,
+         0.23570965754989914, 0.11626000187085032],
+        [0.02802026895454947, 0.052732886757197395, 0.01899997613400497,
+         0.09510996702338655, 0.8051369011308616]]}, "start": [8] * 5},
+     "2f24e26e66c48f5590fac4340c673519f021e473c519fd5f095089ce8a55cb70"),
+    ({"model": {"model": "moran_standard", "N": 100, "m": 0.7, "p": [0.2] * 5},
+      "start": [0, 10, 0, 10, 80]},
+     "f1efc660d1a5b2401b7c2237de012ef687e93e173dd0194ed523ef53c1abdd36"),
+]
+
+
+@pytest.mark.parametrize("doc,digest", SPECTRAL_DIGESTS,
+                         ids=["moran_general_d3", "moran_general_d5", "moran_standard"])
+def test_spectral_makes_one_perron_run(tmp_path, capsys, monkeypatch, doc, digest):
+    # The condition flags and the eigendata share one Perron run; the report
+    # is unchanged byte for byte.
+    calls = []
+    real = spectral.perron
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "perron", counting)
+    cfg = _write(tmp_path, doc)
+    assert main(["spectral", "--config", cfg]) == 0
+    assert len(calls) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_spectral_failing_matrix_exits_nonzero(tmp_path, capsys):

@@ -101,9 +101,11 @@ def test_seeded_chains_match_pinned_digests(family, n):
 
 
 # The six exact-solve specs of the benchmark's exact_desk workload at seed 1
-# (1,035 or 1,140 states), with the sha256 of csr.data, csr.indices and
-# csr.indptr of their build_matrix kernels.  A change to how rows are built
-# that keeps the arithmetic per entry must keep every digest.
+# (1,035 or 1,140 states), then an Ehrenfest chain with s = 3 at d = 4 (680
+# states), where up to 20 of a state's 400 paths merge into one successor,
+# with the sha256 of csr.data, csr.indices and csr.indptr of their
+# build_matrix kernels.  A change to how rows are built that keeps the
+# arithmetic per entry must keep every digest.
 CSR_DIGESTS = [
     ({"model": "moran_general", "N": 17, "mutation_matrix": [
         [0.21510811555188497, 0.35458298387052567, 0.3026512434653538, 0.12765765711223556],
@@ -126,10 +128,13 @@ CSR_DIGESTS = [
     ({"model": "ehrenfest", "N": 17, "s": 2,
       "p": [0.3738088741004123, 0.18744155389444347, 0.3748585291018144, 0.06389104290332981]},
      "fe7f4b28ee9fe29c7b3f1ac2710a50b494fe7f3ad556658e35a10f4e38d52896"),
+    ({"model": "ehrenfest", "N": 14, "s": 3, "p": [0.3, 0.15, 0.4, 0.15]},
+     "7336863ff2dbaac1ec3317e71d71840b8a2d5d5ee51c8133a5df1fa87e9cefb7"),
 ]
 
 
-@pytest.mark.parametrize("doc,digest", CSR_DIGESTS, ids=[d["model"] for d, _ in CSR_DIGESTS])
+@pytest.mark.parametrize("doc,digest", CSR_DIGESTS, ids=[
+    d["model"] + ("" if d.get("s", 2) == 2 else f"_s{d['s']}") for d, _ in CSR_DIGESTS])
 def test_exact_kernels_match_pinned_digests(doc, digest):
     csr = build_matrix(spec_from_json(doc)).csr
     h = hashlib.sha256()

@@ -370,6 +370,35 @@ def test_tv_curve_nonincreasing():
         assert np.all(np.diff(curve) <= 1e-12)
 
 
+@pytest.mark.parametrize("spec,x0", [
+    (PolyaLevel(6, 2, (1.0, 2.0, 1.5)), (6, 0, 0)),  # 28 states, 4,681 rows a block
+    (PolyaUpDown(44, 2, (1.5, 3.0, 1.5)), (0, 0, 44)),  # 1,035 states, 126 rows a block
+], ids=["28_states", "1035_states"])
+def test_tv_curve_matches_the_step_by_step_recurrence_bit_for_bit(spec, x0):
+    # v -> kt @ v and 0.5 * |v - pi|.sum() one step at a time, at horizons
+    # around the block edges; a change in scipy's private CSR kernel that
+    # moves a single bit fails here.
+    tm = build_matrix(spec)
+    pi = stationary(tm)
+    rows = max(2, exact._TV_BLOCK_BUDGET // tm.dim)
+    v = np.zeros(tm.dim)
+    v[tm.index[x0]] = 1.0
+    recurrence = []
+    for _ in range(3 * rows + 1):
+        recurrence.append(0.5 * float(np.abs(v - pi).sum()))
+        v = tm.kt @ v
+    for n_max in (0, 1, rows - 1, rows, rows + 1, 3 * rows):
+        assert np.array_equal(tv_curve(tm, x0, n_max, pi), recurrence[:n_max + 1])
+
+
+def test_build_matrix_keeps_the_state_array():
+    tm = build_matrix(PolyaLevel(5, 2, (1.0, 2.0, 1.5, 0.5)))
+    assert np.array_equal(tm.state_array, np.asarray(tm.states, dtype=np.int64))
+    assert not tm.state_array.flags.writeable
+    hand = TransitionMatrix(spec=None, states=tm.states, csr=tm.csr, index=tm.index)
+    assert np.array_equal(hand.state_array, tm.state_array)
+
+
 def test_tv_curve_rejects_foreign_state():
     tm = build_matrix(Ehrenfest(6, 1, (0.3, 0.3, 0.4)))
     with pytest.raises(ValidationError):
