@@ -119,18 +119,17 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     """BFS reachability from vertex 0 in adj and its transpose."""
     d = adj.shape[0]
 
-    def reaches_all(a) -> bool:
+    def reaches_all(rows: list) -> bool:
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in np.nonzero(a[u])[0]:
-                if int(v) not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
+            for v, edge in enumerate(rows[stack.pop()]):
+                if edge and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
         return len(seen) == d
 
-    return reaches_all(adj) and reaches_all(adj.T)
+    return reaches_all(adj.tolist()) and reaches_all(adj.T.tolist())
 
 
 def _validate_sizes(spec, *names: str) -> None:
@@ -426,8 +425,8 @@ def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     N, d = spec.N, spec.d
     mt = spec.M.matrix.T
-    # One product per state: a single matrix product would sum in another order.
-    target = np.array([mt @ (xf / N) for xf in x.astype(float)])
+    # One gemv per state, stacked: a single matrix product would sum in another order.
+    target = np.matmul(mt, (x / N)[:, :, None])[:, :, 0]
     prob = (x / N)[:, :, None] * target[:, None, :]  # [state, death j, offspring i]
     valid = (x != 0)[:, :, None] & ~np.eye(d, dtype=bool) & (prob > 0.0)
     off_total = np.zeros(len(x))

@@ -9,6 +9,8 @@ linear eigenfunction
 
 with eigenvalue lambda = 1 - 1/N + lambda*/N.  f is strictly increasing along
 the dominance order with minimal increment c1 = min a*_i and sup-norm c2.
+The eigen identity is checked, with no kernel row, in increment form:
+Kf(x) - lambda f(x) = a*.(M^T x - x)_{<d} / N + (1 - lambda) f(x).
 
 The urn families admit the same linear form with a* = (1, ..., 1) and
 closed-form second eigenvalues; see ``model_eigendata``.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -96,33 +99,35 @@ def perron(m_star: np.ndarray,
     Starts from the all-ones vector, normalizes by the max entry, and stops
     when successive iterates agree to ``step_tol`` in max norm.  The returned
     vector has max entry 1.  Raises PerronConvergenceError when the iteration
-    oscillates (complex or tied dominant pair) or stalls.
+    oscillates (complex or tied dominant pair) or stalls, at once on an exact
+    2-cycle, and ValidationError on negative or non-finite entries.
     """
     a = np.asarray(m_star, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"reduced matrix must be square, got shape {a.shape}")
-    if np.any(a < 0.0):
-        raise ValidationError("reduced matrix must be nonnegative")
+    if not np.all((a >= 0.0) & (a < math.inf)):  # a Python max over NaN is order-dependent
+        raise ValidationError("reduced matrix must be nonnegative and finite")
     k = a.shape[0]
     if not np.any(a):
         # Zero matrix: every positive vector is an eigenvector for 0.
         return 0.0, np.ones(k)
 
-    v = np.ones(k)
-    lam = 0.0
+    # Only the product goes through numpy: the rest is the same IEEE float arithmetic.
+    v, back = [1.0] * k, None
     for _ in range(max_iter):
-        w = a @ v
-        mx = float(w.max())
+        w = (a @ v).tolist()
+        mx = max(w)
         if mx <= 0.0:
             raise PerronConvergenceError(
                 "Perron iteration failed: iterate vanished (nilpotent reduced matrix?)"
             )
-        w /= mx
-        if float(abs(w - v).max()) < step_tol:
-            lam = mx
-            v = w
+        w = [x / mx for x in w]
+        if max(map(abs, map(sub, w, v))) < step_tol:
+            lam, v = mx, np.array(w)
             break
-        v = w
+        if w == back:  # the map is deterministic, so this repeats forever
+            raise PerronConvergenceError("Perron iteration failed: iterates cycle with period 2")
+        back, v = v, w
     else:
         raise PerronConvergenceError(
             f"Perron iteration failed to converge within {max_iter} iterations"
@@ -194,7 +199,8 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
     Requires one of the monotonicity conditions.  Reads the Perron eigenpair
     of the reduced matrix from classify_conditions, so one power iteration
     serves both, and raises the PerronConvergenceError that run met, if any.
-    Verifies the row-wise eigen identity on sample states before returning.
+    Verifies the eigen identity, in increment form, on three probe states
+    before returning.
     """
     return eigenfunction_from_report(M, n_total, classify_conditions(M))
 
@@ -233,7 +239,7 @@ def eigenfunction_from_report(M: MutationMatrix, n_total: int,
     base, extra = divmod(n_total, d)
     probes = [minimal_element(n_total, d), (n_total,) + (0,) * (d - 1),
               tuple(base + (1 if i < extra else 0) for i in range(d))]
-    residual = eigen_residual(MoranGeneral(n_total, M), ed, probes)
+    residual = _moran_residual(M, ed, probes)
     if residual > _EIGEN_ROW_TOL:
         raise EigenConsistencyError(
             f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over {probes}"
@@ -283,12 +289,27 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
 
 
 def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
-    """Max-norm residual of Kf - lam f over the given states (exact rows)."""
+    """Max-norm residual of Kf - lam f = (Kf - f) + (1 - lam) f over the given states.
+
+    Kf - f is formed from increments: a*.(M^T x - x)_{<d} / N for Moran, with
+    no row and all states as one array; sum p (f(y) - f(x)) over urn rows.
+    """
     spec = kernels.expand_standard(spec)
+    states = [validate_composition(x, ed.N, ed.d) for x in states]
+    if isinstance(spec, MoranGeneral):
+        return _moran_residual(spec.M, ed, states)
     worst = 0.0
     for x in states:
-        x = validate_composition(x, ed.N, ed.d)
+        fx = ed.value(x)
         row = kernels.transition_row(spec, x)
-        kf = math.fsum(p * ed.value(y) for y, p in row.probs.items())
-        worst = max(worst, abs(kf - ed.lam * ed.value(x)))
+        kf = math.fsum(p * (ed.value(y) - fx) for y, p in row.probs.items())
+        worst = max(worst, abs(kf + (1.0 - ed.lam) * fx))
     return worst
+
+
+def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:
+    x = np.array(states, dtype=float).reshape(-1, ed.d)
+    a = np.array(ed.a_star)
+    kf_minus_f = (x @ M.matrix - x)[:, :-1] @ a / ed.N
+    f = x[:, :-1] @ a + ed.f0
+    return float(np.max(np.abs(kf_minus_f + (1.0 - ed.lam) * f), initial=0.0))

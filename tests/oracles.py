@@ -7,7 +7,8 @@ independent of the closed-form rows in the package (no hypergeometric or
 Dirichlet-multinomial formulas here).  The stationary oracle solves the
 linear system instead of iterating, so it shares no start, stop rule or
 closed form with the package's power iteration; for kernels with no closed
-form the package runs the same solve.
+form the package runs the same solve.  The Perron oracle is the reduced
+matrix's power iteration as first written, on numpy arrays throughout.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from itertools import permutations, product
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
+
+from monochain import PerronConvergenceError, ValidationError
 
 
 def species_of_labels(x) -> list[int]:
@@ -178,3 +181,58 @@ def stationary_lu(csr) -> np.ndarray:
     # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
     pi = np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
     return pi / pi.sum()
+
+
+_PERRON_RESIDUAL_TOL = 1e-12
+_PERRON_STEP_TOL = 1e-14
+_PERRON_MAX_ITER = 100_000
+
+
+def perron_oracle(m_star: np.ndarray,
+                  step_tol: float = _PERRON_STEP_TOL,
+                  max_iter: int = _PERRON_MAX_ITER) -> tuple[float, np.ndarray]:
+    """The power iteration as first written, on numpy arrays from end to end.
+
+    ``spectral.perron`` must give the same bits or raise the same error
+    class: it does the same IEEE operations on Python floats.
+    """
+    a = np.asarray(m_star, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"reduced matrix must be square, got shape {a.shape}")
+    if np.any(a < 0.0):
+        raise ValidationError("reduced matrix must be nonnegative")
+    k = a.shape[0]
+    if not np.any(a):
+        # Zero matrix: every positive vector is an eigenvector for 0.
+        return 0.0, np.ones(k)
+
+    v = np.ones(k)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = a @ v
+        mx = float(w.max())
+        if mx <= 0.0:
+            raise PerronConvergenceError(
+                "Perron iteration failed: iterate vanished (nilpotent reduced matrix?)"
+            )
+        w /= mx
+        if float(abs(w - v).max()) < step_tol:
+            lam = mx
+            v = w
+            break
+        v = w
+    else:
+        raise PerronConvergenceError(
+            f"Perron iteration failed to converge within {max_iter} iterations"
+        )
+
+    residual = float(np.max(np.abs(a @ v - lam * v)))
+    if residual > _PERRON_RESIDUAL_TOL:
+        raise PerronConvergenceError(
+            f"Perron iteration converged to residual {residual:.3e} > {_PERRON_RESIDUAL_TOL}"
+        )
+    if not lam < 1.0:
+        raise PerronConvergenceError(
+            f"dominant reduced eigenvalue {lam} is not < 1; invalid mutation matrix?"
+        )
+    return lam, v

@@ -5,6 +5,7 @@ import pytest
 
 from monochain import (
     Ehrenfest,
+    EigenConsistencyError,
     EigenData,
     MoranGeneral,
     MoranStandard,
@@ -14,13 +15,16 @@ from monochain import (
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
+    ValidationError,
     bound_report,
     build_eigenfunction,
     build_matrix,
     classify_conditions,
     eigen_residual,
     enumerate_states,
+    kernels,
     model_eigendata,
+    moran_row,
     partial_leq,
     perron,
     spectral,
@@ -28,6 +32,7 @@ from monochain import (
     tv_bound_coefficients,
 )
 from helpers import delta_construction_matrix, random_dominated_matrix
+from oracles import perron_oracle
 
 
 def test_standard_choice_satisfies_positive_eigenvector_condition():
@@ -82,7 +87,7 @@ def test_perron_failure_under_weak_irreducible_condition():
     assert report.lam_star is None and report.a_star is None
     with pytest.raises(PerronConvergenceError) as info:
         build_eigenfunction(m, 10)
-    assert str(info.value) == "Perron iteration failed to converge within 100000 iterations"
+    assert str(info.value) == "Perron iteration failed: iterates cycle with period 2"
 
 
 def test_general_moran_eigendata_makes_one_perron_run(monkeypatch):
@@ -141,6 +146,98 @@ def test_perron_agrees_with_dense_eigensolver():
         lam, _ = perron(reduced)
         eigs = np.linalg.eigvals(reduced)
         assert lam == pytest.approx(float(np.max(eigs.real)), abs=1e-10)
+
+
+def _random_reduced(rng, k: int) -> np.ndarray:
+    """Nonnegative k x k matrix: dense, sparse, with a zero row, or rounded to ties."""
+    kind = rng.integers(0, 4)
+    a = rng.random((k, k))
+    if kind >= 1:
+        a *= rng.random((k, k)) < rng.uniform(0.2, 0.9)
+    if kind == 2:
+        a[rng.integers(0, k)] = 0.0
+    if kind == 3:
+        a = np.round(a, 1)
+    # Mostly below spectral radius 1, some above, so every exit is reached.
+    return a * rng.uniform(0.3, 1.2) / max(1.0, a.sum(axis=1).max())
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a, max_iter=2000)
+    except (PerronConvergenceError, ValidationError) as exc:
+        return type(exc)
+
+
+def test_perron_matches_the_array_loop_bit_for_bit():
+    # max_iter is cut to 2,000 so that the iterations that never settle
+    # (periodic or reducible matrices) fail quickly in both.
+    rng = np.random.default_rng(12)
+    converged = 0
+    for _ in range(2000):
+        a = _random_reduced(rng, int(rng.integers(1, 9)))
+        got, want = _outcome(perron, a), _outcome(perron_oracle, a)
+        if isinstance(want, tuple):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            converged += 1
+        else:
+            assert got is want
+    assert converged > 1500
+
+
+def test_perron_stops_at_once_on_a_two_cycle():
+    # The tied pair +-sqrt(0.35) sends (1, 1) back to itself in two steps.
+    with pytest.raises(PerronConvergenceError, match="cycle with period 2"):
+        perron(np.array([[0.0, 0.5], [0.7, 0.0]]), max_iter=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_perron_refuses_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        perron(np.array([[0.5, bad], [0.1, 0.2]]))
+
+
+def test_moran_increment_residual_matches_the_row_form():
+    rng = np.random.default_rng(13)
+    for d, n in ((2, 8), (3, 8), (4, 6), (5, 5)):
+        for spec in (MoranGeneral(n, random_dominated_matrix(rng, d)),
+                     MoranStandard(n, 0.6, tuple(np.full(d, 1.0 / d)))):
+            ed = model_eigendata(spec)
+            general = spec if isinstance(spec, MoranGeneral) else spec.expand()
+            for x in enumerate_states(n, d):
+                row = moran_row(general, x).probs
+                by_row = math.fsum(p * ed.value(y) for y, p in row.items()) - ed.lam * ed.value(x)
+                assert eigen_residual(spec, ed, [x]) == pytest.approx(abs(by_row), abs=1e-12)
+
+
+# Strictly dominated, with enough mass in the last row that each mutation
+# below moves the residual past the 1e-10 tolerance at N = 50.
+_HEAVY_LAST_ROW = [[0.6, 0.3, 0.1], [0.35, 0.5, 0.15], [0.3, 0.25, 0.45]]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda kw: dict(kw, lam=kw["lam"] + 1e-9),
+    lambda kw: dict(kw, lam=kw["lam"] - 1e-9),
+    lambda kw: dict(kw, a_d=kw["a_d"] * (1 + 1e-9), f0=kw["f0"] * (1 + 1e-9)),
+    lambda kw: dict(kw, a_star=(kw["a_star"][0] * (1 + 1e-9),) + kw["a_star"][1:]),
+], ids=["lam_up", "lam_down", "a_d", "a_star_0"])
+def test_eigen_check_rejects_perturbed_eigendata(monkeypatch, mutate):
+    M = MutationMatrix(_HEAVY_LAST_ROW)
+    build_eigenfunction(M, 50)
+    real = spectral.EigenData
+    monkeypatch.setattr(spectral, "EigenData", lambda **kw: real(**mutate(kw)))
+    with pytest.raises(EigenConsistencyError):
+        build_eigenfunction(M, 50)
+
+
+def test_general_moran_eigendata_builds_no_kernel_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel row built")
+
+    monkeypatch.setattr(kernels, "transition_row", refuse)
+    monkeypatch.setattr(kernels, "moran_row", refuse)
+    build_eigenfunction(delta_construction_matrix(0.05), 10**5)
+    model_eigendata(MoranGeneral(100, MutationMatrix(_HEAVY_LAST_ROW)))
 
 
 def test_build_eigenfunction_standard_closed_forms():
