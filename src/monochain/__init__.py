@@ -57,8 +57,6 @@ from .kernels import (
     TransitionRow,
     UrnSpec,
     expand_standard,
-    mean_drift,
-    moran_row,
     sample_step,
     spec_from_json,
     spec_to_json,

@@ -103,11 +103,9 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
         if isinstance(value, str):
             value = _parse_start(value)
         try:
-            counts = tuple(int(c) for c in value)
-        except (TypeError, ValueError) as exc:
+            counts = tuple(as_integer(c, f"{name} entry") for c in value)
+        except TypeError as exc:
             raise ValidationError(f"bad {name}: {value!r}") from exc
-        if any(c != orig for c, orig in zip(counts, value)):
-            raise ValidationError(f"{name} entries must be integers, got {value!r}")
         return validate_composition(counts, spec.N, spec.d)
 
     start = pick("start", "start", None)
@@ -326,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--start", help="start state as comma-separated counts")
-        p.add_argument("--seed", type=int, help="RNG seed override")
 
     p_bounds = sub.add_parser("bounds", help="TV bound report (JSON)")
     add_common(p_bounds)
@@ -335,12 +332,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact TV curve (CSV)")
     add_common(p_exact)
-    p_exact.add_argument("--epsilon", type=float, help="target TV accuracy")
     p_exact.add_argument("--n-max", dest="n_max", type=int, help="curve length")
     p_exact.add_argument("--output", help="write the CSV here instead of stdout")
 
     p_couple = sub.add_parser("couple", help="coupled trajectories (CSV + JSON summary)")
     add_common(p_couple)
+    p_couple.add_argument("--seed", type=int, help="RNG seed override")
     p_couple.add_argument("--start-upper", dest="start_upper",
                           help="dominating start state, comma-separated")
     p_couple.add_argument("--replicates", type=int, help="number of coupled runs")

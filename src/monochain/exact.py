@@ -46,25 +46,27 @@ _TV_BLOCK_BUDGET = 1 << 17
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Materialized kernel: states in enumeration order plus the sparse matrix.
+    """Materialized kernel: the states as the rows of an S x d int64 array, and the sparse matrix.
 
-    state_array holds the states as an S x d int64 array; it is formed from
-    ``states`` when not given.
+    Row i of csr is the row of state_array[i].  ``states`` (tuples) and
+    ``index`` (state to row) are formed from state_array on first use.
     """
 
     spec: ModelSpec
-    states: list[Composition]
     csr: sp.csr_matrix
-    index: dict = field(repr=False)
-    state_array: np.ndarray = field(default=None, repr=False)
+    state_array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.state_array is None:
-            object.__setattr__(self, "state_array", np.asarray(self.states, dtype=np.int64))
+    @cached_property
+    def states(self) -> list[Composition]:
+        return list(zip(*self.state_array.T.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.states)}
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.state_array)
 
     @cached_property
     def kt(self) -> sp.csr_matrix:
@@ -80,7 +82,6 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     """
     expanded = expand_standard(spec)
     array = state_array(expanded.N, expanded.d, cap=cap)
-    states = list(zip(*array.T.tolist()))
     lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
     for n, succ, probs in kernel_rows(expanded, array):
         lengths.append(n)
@@ -88,10 +89,9 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
         data.append(probs)
     csr = sp.csr_matrix(
         (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),
-        shape=(len(states), len(states)),
+        shape=(len(array), len(array)),
     )
-    return TransitionMatrix(spec=spec, states=states, csr=csr,
-                            index={x: i for i, x in enumerate(states)}, state_array=array)
+    return TransitionMatrix(spec=spec, csr=csr, state_array=array)
 
 
 def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
@@ -112,7 +112,7 @@ def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
 
 
 def _start(tm: TransitionMatrix) -> np.ndarray | None:
-    """The closed-form stationary law over tm.states, or None where none is known."""
+    """The closed-form stationary law on the rows of tm.state_array, or None if none is known."""
     try:
         log_pmf = stationary_log_pmfs(tm.spec, tm.state_array)
     except UnknownStationaryError:
@@ -261,7 +261,7 @@ def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
     n_pairs = int(comparable.sum())
 
     # Predecessor x - e_i + e_d of each state for i < d - 1, by colex rank
-    # mapped to its position in tm.states, which need not be in enumeration
+    # mapped to its row in tm.state_array, which need not be in enumeration
     # order; where x_i = 0 it points at a zero sentinel.
     n_total = int(states[0].sum())
     rank = ranks(states, n_total)

@@ -1,5 +1,8 @@
 """Transition kernels for the Moran chains and the urn chains.
 
+Entries are read two ways: ``kernel_rows`` builds many states' rows at once
+(``transition_row`` on one state), ``transition_prob`` sums one entry's paths.
+
 Moran replacement chain on species counts: at each step one individual dies
 (uniform), one reproduces (uniform, possibly the same), and the offspring
 mutates from species k to species i with probability m_ki, giving
@@ -339,37 +342,6 @@ class TransitionRow:
 # Exact rows
 # ---------------------------------------------------------------------------
 
-def moran_row(spec: MoranGeneral, x: Composition) -> TransitionRow:
-    """One-step row of the Moran replacement chain from x."""
-    if not isinstance(spec, MoranGeneral):
-        raise ValidationError("moran_row needs a MoranGeneral spec (expand a standard one first)")
-    N, d = spec.N, spec.d
-    x = validate_composition(x, N, d)
-    # Offspring species distribution: parent uniform, then one mutation step.
-    target = (spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)).tolist()
-    probs: dict = {}
-    off_total = 0.0
-    for j in range(d):
-        if x[j] == 0:
-            continue
-        death_frac = x[j] / N
-        for i in range(d):
-            if i == j:
-                continue
-            p = death_frac * target[i]
-            if p > 0.0:
-                succ = list(x)
-                succ[i] += 1
-                succ[j] -= 1
-                succ = tuple(succ)
-                probs[succ] = probs.get(succ, 0.0) + p
-                off_total += p
-    stay = 1.0 - off_total
-    if stay > 1e-13:
-        probs[x] = probs.get(x, 0.0) + stay
-    return TransitionRow(x, probs)
-
-
 def _multinomial_coef(a: tuple[int, ...]) -> int:
     c = math.factorial(sum(a))
     for ai in a:
@@ -417,11 +389,11 @@ def _moran_offsets(d: int) -> np.ndarray:
 
 
 def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The Moran paths from each state with their probabilities, as moran_row forms them.
+    """The Moran paths from each state with their probabilities, as transition_prob sums them.
 
-    Returns (row, path, prob) over the paths that moran_row keeps, state by
-    state in path order; path j * d + i is death j and offspring i, d * d
-    is staying.
+    Returns (row, path, prob) over the paths with positive probability,
+    state by state in path order; path j * d + i is death j and offspring
+    i (i != j), d * d is staying, kept above 1e-13.
     """
     N, d = spec.N, spec.d
     mt = spec.M.matrix.T
@@ -587,17 +559,32 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
 def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     """One entry K(x, z) of any model's kernel, without building the row.
 
+    The scalar reference for kernel_rows.  A Moran step to z != x is one
+    death and one offspring species; staying takes what the others leave.
     An urn step from x to z is fixed by its removal vector r (z = x - r + a)
     or, up-down, by its addition vector a (z = x + a - r); the sum runs over
     those paths only, so it costs one hypergeometric and one addition pmf
     per path, however many successors the row has.
     """
     spec = expand_standard(spec)
-    if isinstance(spec, MoranGeneral):
-        return moran_row(spec, x).probs.get(validate_composition(z, spec.N, spec.d), 0.0)
-    N, d, s, inc = spec.N, spec.d, spec.s, spec.inc
+    N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
     z = validate_composition(z, N, d)
+    if isinstance(spec, MoranGeneral):
+        # The products of _moran_paths, and for staying their sum in its order.
+        target = (spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)).tolist()
+        if z != x:
+            step = np.subtract(z, x)
+            # Equal totals: one count up by 1 and one down by 1, or no path leads to z.
+            return x[step.argmin()] / N * target[step.argmax()] if abs(step).sum() == 2 else 0.0
+        off_total = 0.0
+        for j in range(d):
+            for i in range(d):
+                if x[j] and i != j:
+                    off_total += x[j] / N * target[i]
+        stay = 1.0 - off_total
+        return stay if stay > 1e-13 else 0.0
+    s, inc = spec.s, spec.inc
     comps = _step_vectors(s, d)
     out = 0.0
     if spec.order == "updown":
@@ -623,22 +610,10 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
 
 
 def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
-    """Exact one-step row for any model spec."""
-    spec = expand_standard(spec)
-    if isinstance(spec, MoranGeneral):
-        return moran_row(spec, x)
+    """Exact one-step row for any model spec: kernel_rows on the one state x."""
     x = validate_composition(x, spec.N, spec.d)
     ((_, succ, probs),) = kernel_rows(spec, np.array([x], dtype=np.int64))
     return TransitionRow(x, dict(zip(map(tuple, succ.tolist()), probs.tolist())))
-
-
-def mean_drift(spec: MoranGeneral, x: Composition) -> np.ndarray:
-    """Conditional mean of the next Moran state: ((1 - 1/N) I + M^T / N) x."""
-    spec = expand_standard(spec)
-    N, d = spec.N, spec.d
-    x = validate_composition(x, N, d)
-    xv = np.asarray(x, dtype=float)
-    return (1.0 - 1.0 / N) * xv + (spec.M.matrix.T @ xv) / N
 
 
 # ---------------------------------------------------------------------------

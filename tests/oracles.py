@@ -8,7 +8,8 @@ Dirichlet-multinomial formulas here).  The stationary oracle solves the
 linear system instead of iterating, so it shares no start, stop rule or
 closed form with the package's power iteration; for kernels with no closed
 form the package runs the same solve.  The Perron oracle is the reduced
-matrix's power iteration as first written, on numpy arrays throughout.
+matrix's power iteration as first written, on numpy arrays throughout, and
+the scalar Moran row is the one-state row builder as first written.
 """
 from __future__ import annotations
 
@@ -19,7 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from monochain import PerronConvergenceError, ValidationError
+from monochain import (
+    Composition,
+    MoranGeneral,
+    PerronConvergenceError,
+    TransitionRow,
+    ValidationError,
+    validate_composition,
+)
 
 
 def species_of_labels(x) -> list[int]:
@@ -147,6 +155,42 @@ def polya_row_oracle(kind: str, x, s, alpha) -> dict:
     else:
         raise ValueError(f"unknown urn kind {kind!r}")
     return rows
+
+
+def moran_row_scalar(spec: MoranGeneral, x: Composition) -> TransitionRow:
+    """One-step row of the Moran replacement chain from x, one path at a time.
+
+    The reference for the batched Moran rows of kernels.kernel_rows: their
+    entries, bits and order.
+    """
+    if not isinstance(spec, MoranGeneral):
+        raise ValidationError(
+            "moran_row_scalar needs a MoranGeneral spec (expand a standard one first)")
+    N, d = spec.N, spec.d
+    x = validate_composition(x, N, d)
+    # Offspring species distribution: parent uniform, then one mutation step.
+    target = (spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)).tolist()
+    probs: dict = {}
+    off_total = 0.0
+    for j in range(d):
+        if x[j] == 0:
+            continue
+        death_frac = x[j] / N
+        for i in range(d):
+            if i == j:
+                continue
+            p = death_frac * target[i]
+            if p > 0.0:
+                succ = list(x)
+                succ[i] += 1
+                succ[j] -= 1
+                succ = tuple(succ)
+                probs[succ] = probs.get(succ, 0.0) + p
+                off_total += p
+    stay = 1.0 - off_total
+    if stay > 1e-13:
+        probs[x] = probs.get(x, 0.0) + stay
+    return TransitionRow(x, probs)
 
 
 def moran_row_oracle(x, m_rows) -> dict:

@@ -206,7 +206,7 @@ def test_successive_main_calls_share_no_parsed_state(tmp_path, capsys, monkeypat
     assert (last["max_steps"], last["replicates"]) == (COUPLE["max_steps"], COUPLE["replicates"])
     assert len({id(args) for args in seen}) == 3
     assert vars(seen[1]) == {"command": "bounds", "config": bounds_cfg, "start": None,
-                             "seed": None, "epsilon": 0.05, "output": None}
+                             "epsilon": 0.05, "output": None}
     assert vars(seen[2]) == {"command": "couple", "config": couple_cfg, "start": None,
                              "seed": None, "start_upper": None, "replicates": None,
                              "max_steps": None, "trajectories": None, "summary": None}
@@ -581,6 +581,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         ("epsilon", "0.01", "must be a real number"),
         ("epsilon", None, "must be a real number"),
         ("seed", -1, "seed >= 0"),
+        ("start", [True, 0, 5], "must be an integer"),
+        ("start", [1.0, 0, 5], "must be an integer"),
+        ("start_upper", [2, 2, True], "must be an integer"),
     ]:
         bad = _write(tmp_path, dict(COUPLE, **{field: value}), "b7.json")
         for command in ("couple", "bounds"):
@@ -593,6 +596,22 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         bad = _write(tmp_path, doc, "b9.json")
         assert main(["bounds", "--config", bad]) == 2, doc
         assert "must be an object" in capsys.readouterr().err, doc
+
+
+def test_options_a_subcommand_never_reads_exit_2(tmp_path, capsys):
+    # --seed belongs to couple alone, and exact takes no --epsilon.
+    cfg = _write(tmp_path, COUPLE, "couple.json")
+    for argv in (["exact", "--config", cfg, "--epsilon", "0.1"],
+                 ["exact", "--config", cfg, "--seed", "3"],
+                 ["bounds", "--config", cfg, "--seed", "3"],
+                 ["spectral", "--config", cfg, "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    # The config keys are unchanged: exact reads and checks epsilon and seed.
+    assert main(["exact", "--config", _write(tmp_path, dict(COUPLE, epsilon=0.1, n_max=3))]) == 0
+    assert main(["exact", "--config", _write(tmp_path, dict(COUPLE, epsilon=True))]) == 2
 
 
 def test_bad_output_paths_exit_2(tmp_path, capsys):

@@ -24,6 +24,7 @@ from monochain import (
     check_irreducible_aperiodic,
     crude_bound,
     dm_log_pmf,
+    expand_standard,
     model_eigendata,
     monotonicity_audit,
     multinomial_log_pmf,
@@ -35,7 +36,7 @@ from monochain import (
 from monochain import exact, kernels
 from monochain.exact import TransitionMatrix
 from helpers import delta_construction_matrix, random_positive_matrix, random_prob_vector
-from oracles import stationary_lu
+from oracles import moran_row_scalar, stationary_lu
 
 
 def test_build_matrix_shape_and_rows():
@@ -65,9 +66,9 @@ def _csr_row(tm, i: int) -> list:
 @pytest.mark.parametrize("budget", [None, 40], ids=["one_block", "blocks_of_states"])
 @pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 4)])
 def test_batched_rows_equal_single_rows(n, d, budget, monkeypatch):
-    # Every CSR row, entries and column order, equals the row of one state;
-    # the Moran rows come from the scalar moran_row.  A small path budget
-    # splits the build into blocks of a few states.
+    # Every CSR row, entries and column order, equals the row of one state,
+    # and every Moran row, entries, bits and order, the scalar row builder's.
+    # A small path budget splits the build into blocks of a few states.
     if budget is not None:
         monkeypatch.setattr(kernels, "_PATH_BUDGET", budget)
     rng = np.random.default_rng([n, d])
@@ -76,6 +77,9 @@ def test_batched_rows_equal_single_rows(n, d, budget, monkeypatch):
             tm = build_matrix(spec)
             for i, x in enumerate(tm.states):
                 assert _csr_row(tm, i) == list(transition_row(spec, x).probs.items())
+                if isinstance(spec, (MoranGeneral, MoranStandard)):
+                    scalar = moran_row_scalar(expand_standard(spec), x)
+                    assert _csr_row(tm, i) == list(scalar.probs.items())
 
 
 @pytest.mark.parametrize("ctor,weights", [
@@ -199,8 +203,7 @@ def test_stationary_rejects_periodic_kernel():
     # must refuse rather than return garbage.
     states = [(0, 1), (1, 0)]
     csr = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    tm = TransitionMatrix(spec=None, states=states, csr=csr,
-                          index={s: i for i, s in enumerate(states)})
+    tm = TransitionMatrix(spec=None, csr=csr, state_array=np.array(states))
     with pytest.raises(StationaryConvergenceError):
         stationary(tm)
 
@@ -210,8 +213,7 @@ def _hand_built(dense) -> TransitionMatrix:
     dense = np.asarray(dense, dtype=float)
     n = len(dense)
     states = [(k, n - 1 - k) for k in range(n)]
-    return TransitionMatrix(spec=None, states=states, csr=sp.csr_matrix(dense),
-                            index={x: i for i, x in enumerate(states)})
+    return TransitionMatrix(spec=None, csr=sp.csr_matrix(dense), state_array=np.array(states))
 
 
 def test_stationary_rejects_reducible_kernel():
@@ -393,10 +395,38 @@ def test_tv_curve_matches_the_step_by_step_recurrence_bit_for_bit(spec, x0):
 
 def test_build_matrix_keeps_the_state_array():
     tm = build_matrix(PolyaLevel(5, 2, (1.0, 2.0, 1.5, 0.5)))
-    assert np.array_equal(tm.state_array, np.asarray(tm.states, dtype=np.int64))
     assert not tm.state_array.flags.writeable
-    hand = TransitionMatrix(spec=None, states=tm.states, csr=tm.csr, index=tm.index)
-    assert np.array_equal(hand.state_array, tm.state_array)
+    assert tm.state_array.dtype == np.int64 and tm.dim == len(tm.state_array) == 56
+    # states and index are formed from the array on first use, as plain tuples of ints.
+    assert "states" not in vars(tm) and "index" not in vars(tm)
+    assert tm.states == [tuple(int(c) for c in row) for row in tm.state_array]
+    assert all(type(c) is int for x in tm.states for c in x)
+    assert tm.index == {x: i for i, x in enumerate(tm.states)}
+    assert tm.states is tm.states and tm.index is tm.index
+    assert tm.states == monochain.enumerate_states(5, 4)
+
+
+def test_tv_curve_on_a_permuted_state_space():
+    # A hand-built kernel over its states in shuffled order gives the same
+    # curve: the start is found through index, not by enumeration order.
+    tm = build_matrix(PolyaUpDown(6, 2, (1.5, 3.0, 1.5)))
+    pi = stationary(tm)
+    x0 = (0, 0, 6)
+    perm = np.random.default_rng(7).permutation(tm.dim)
+    moved = TransitionMatrix(spec=None, csr=tm.csr[perm][:, perm].tocsr(),
+                             state_array=tm.state_array[perm])
+    assert moved.states == [tm.states[i] for i in perm]
+    ordered = tv_curve(tm, x0, 40, pi)
+    shuffled = tv_curve(moved, x0, 40, pi[perm])
+    np.testing.assert_allclose(shuffled, ordered, rtol=0, atol=1e-14)
+    # Solved from the shuffled kernel itself, by the direct solve.
+    np.testing.assert_allclose(tv_curve(moved, x0, 40), ordered, rtol=0, atol=1e-12)
+    # A start the space does not hold is refused, a composition of N among them.
+    partial = TransitionMatrix(spec=None, csr=moved.csr[1:, 1:].tocsr(),
+                               state_array=moved.state_array[1:])
+    for bad in (moved.states[0], (7, 0, 0), (3, 3), (6, 0, 0, 0)):
+        with pytest.raises(ValidationError, match="not in the state space"):
+            tv_curve(partial, bad, 5, pi[perm][1:])
 
 
 def test_tv_curve_rejects_foreign_state():
@@ -459,8 +489,7 @@ def test_audit_results_are_pinned():
     states = monochain.enumerate_states(5, 4)
     dense = rng.random((len(states), len(states)))
     dense /= dense.sum(axis=1, keepdims=True)
-    tm = TransitionMatrix(spec=None, states=states, csr=sp.csr_matrix(dense),
-                          index={x: i for i, x in enumerate(states)})
+    tm = TransitionMatrix(spec=None, csr=sp.csr_matrix(dense), state_array=np.array(states))
     report = monotonicity_audit(tm, trials=20, seed=4)
     assert (report.comparable_pairs, report.violations, report.max_excess) == (
         406, 4966, 0.44224447808201317)
@@ -503,13 +532,12 @@ def test_audit_does_not_assume_enumeration_order():
     tm = build_matrix(cyclic)
     rng = np.random.default_rng(2)
     for perm in (np.arange(tm.dim)[::-1], rng.permutation(tm.dim)):
-        states = [tm.states[i] for i in perm]
-        moved = TransitionMatrix(spec=None, states=states, csr=tm.csr[perm][:, perm].tocsr(),
-                                 index={x: i for i, x in enumerate(states)})
+        moved = TransitionMatrix(spec=None, csr=tm.csr[perm][:, perm].tocsr(),
+                                 state_array=tm.state_array[perm])
         report = monotonicity_audit(moved, trials=50, seed=1)
         assert (report.comparable_pairs, report.violations, report.max_excess) == (
             _audit_by_lookup(moved, trials=50, seed=1))
-    partial = TransitionMatrix(spec=None, states=tm.states[1:],
-                               csr=tm.csr[1:, 1:].tocsr(), index={})
+    partial = TransitionMatrix(spec=None, csr=tm.csr[1:, 1:].tocsr(),
+                               state_array=tm.state_array[1:])
     with pytest.raises(ValidationError, match="every composition"):
         monotonicity_audit(partial, trials=1)

@@ -17,8 +17,6 @@ from monochain import (
     UrnSpec,
     ValidationError,
     enumerate_states,
-    mean_drift,
-    moran_row,
     sample_step,
     spec_from_json,
     spec_to_json,
@@ -39,7 +37,7 @@ M2 = MutationMatrix([[0.9, 0.1], [0.2, 0.8]])
 
 def test_moran_row_two_species_case():
     # Direct substitution: K((1,1), (2,0)) = (1/2)(0.5*0.9 + 0.5*0.2) = 0.275, etc.
-    row = moran_row(MoranGeneral(2, M2), (1, 1))
+    row = transition_row(MoranGeneral(2, M2), (1, 1))
     assert row.probs == pytest.approx({(2, 0): 0.275, (0, 2): 0.225, (1, 1): 0.5})
 
 
@@ -48,7 +46,7 @@ def test_moran_row_against_label_enumeration():
     spec = MoranGeneral(3, MutationMatrix(m))
     m_frac = [[Fraction(str(v)) for v in row] for row in m]
     for x in enumerate_states(3, 3):
-        closed = moran_row(spec, x).probs
+        closed = transition_row(spec, x).probs
         oracle = moran_row_oracle(x, m_frac)
         for succ in set(closed) | set(oracle):
             assert closed.get(succ, 0.0) == pytest.approx(
@@ -70,7 +68,7 @@ def test_rows_sum_to_one_random_cases():
         n = int(rng.integers(1, 7))
         spec = MoranGeneral(n, random_positive_matrix(rng, d))
         x = random_state(rng, n, d)
-        row = moran_row(spec, x)
+        row = transition_row(spec, x)
         assert math.fsum(row.probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p > 0 for p in row.probs.values())
         assert all(sum(y) == n and min(y) >= 0 for y in row.probs)
@@ -82,27 +80,7 @@ def test_standard_rows_match_general_expansion():
     general = spec.expand()
     for _ in range(20):
         x = random_state(rng, 5, 3)
-        assert transition_row(spec, x).probs == moran_row(general, x).probs
-
-
-def test_mean_drift_formula_and_row_expectation():
-    spec = MoranGeneral(2, M2)
-    drift = mean_drift(spec, (1, 1))
-    # ((1 - 1/N) I + M^T/N) x, by hand for N=2.
-    expected = 0.5 * np.array([1.0, 1.0]) + 0.5 * (M2.matrix.T @ np.array([1.0, 1.0]))
-    assert drift == pytest.approx(expected, abs=1e-15)
-
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 7))
-        gspec = MoranGeneral(n, random_positive_matrix(rng, d))
-        x = random_state(rng, n, d)
-        row = moran_row(gspec, x)
-        from_row = np.zeros(d)
-        for succ, p in row.probs.items():
-            from_row += p * np.asarray(succ, dtype=float)
-        assert mean_drift(gspec, x) == pytest.approx(from_row, abs=1e-10)
+        assert transition_row(spec, x).probs == transition_row(general, x).probs
 
 
 def test_ehrenfest_full_redistribution_forgets_state():
@@ -176,6 +154,42 @@ def test_transition_prob_matches_row_entries():
             row = transition_row(spec, x).probs
             for z in states:
                 assert transition_prob(spec, x, z) == pytest.approx(row.get(z, 0.0), abs=1e-15)
+
+
+def test_moran_transition_prob_equals_row_entries_exactly():
+    # The scalar path sum and the batched row form the same products in the
+    # same order, so every entry is equal, not just close, including the
+    # stay and the successors no path reaches.
+    rng = np.random.default_rng(41)
+    for d in range(2, 6):
+        for _ in range(4):
+            n = int(rng.integers(1, 9))
+            # Zero entries off a cycle keep it irreducible, and leave paths with probability 0.
+            sparse = rng.random((d, d)) * (rng.random((d, d)) < 0.4)
+            sparse[np.arange(d), (np.arange(d) + 1) % d] += 0.5
+            m = MutationMatrix(sparse / sparse.sum(axis=1, keepdims=True))
+            states = enumerate_states(n, d)
+            for spec in (MoranGeneral(n, m), MoranGeneral(n, random_dominated_matrix(rng, d)),
+                         MoranStandard(n, 0.3, random_prob_vector(rng, d))):
+                for k in rng.choice(len(states), size=min(len(states), 12), replace=False):
+                    x = states[k]
+                    row = transition_row(spec, x).probs
+                    for z in states:
+                        assert transition_prob(spec, x, z) == row.get(z, 0.0), (spec, x, z)
+
+
+def test_moran_transition_prob_at_zero_stay_and_out_of_reach():
+    # From (1, 0) the only individual dies and its offspring always mutates:
+    # every path moves, so the stay mass is 0 and the row holds no stay entry.
+    spec = MoranGeneral(1, MutationMatrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert transition_row(spec, (1, 0)).probs == {(0, 1): 1.0}
+    assert transition_prob(spec, (1, 0), (1, 0)) == 0.0
+    assert transition_prob(spec, (1, 0), (0, 1)) == 1.0
+    # One Moran step moves one individual: x + e0 - e1 + e2 - e3 is two moves away.
+    spec = MoranGeneral(8, random_positive_matrix(np.random.default_rng(42), 4))
+    x = (2, 2, 2, 2)
+    assert transition_prob(spec, x, (3, 1, 3, 1)) == 0.0
+    assert (3, 1, 3, 1) not in transition_row(spec, x).probs
 
 
 def test_step_vectors_are_shared_and_read_only():
@@ -290,7 +304,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValidationError):
         spec_from_json({"model": "nope", "N": 3})
     with pytest.raises(ValidationError):
-        moran_row(MoranGeneral(3, M2), (1, 1))  # wrong total
+        transition_row(MoranGeneral(3, M2), (1, 1))  # wrong total
     # N and s must be integers: no float, bool or numeric string is coerced.
     for bad in (8.0, 8.7, True, "8"):
         with pytest.raises(ValidationError, match="must be an integer"):
@@ -375,4 +389,3 @@ def test_standard_spec_expands_once():
     assert "MutationMatrix" not in repr(spec)
     expected = (1.0 - 0.4) * np.eye(2) + 0.4 * np.array([[0.3, 0.7], [0.3, 0.7]])
     assert np.array_equal(spec.expand().M.matrix, expected)
-    assert mean_drift(spec, (2, 4)) == pytest.approx(mean_drift(spec.expand(), (2, 4)))

@@ -24,7 +24,6 @@ from monochain import (
     enumerate_states,
     kernels,
     model_eigendata,
-    moran_row,
     partial_leq,
     perron,
     spectral,
@@ -32,7 +31,7 @@ from monochain import (
     tv_bound_coefficients,
 )
 from helpers import delta_construction_matrix, random_dominated_matrix
-from oracles import perron_oracle
+from oracles import moran_row_scalar, perron_oracle
 
 
 def test_standard_choice_satisfies_positive_eigenvector_condition():
@@ -205,7 +204,7 @@ def test_moran_increment_residual_matches_the_row_form():
             ed = model_eigendata(spec)
             general = spec if isinstance(spec, MoranGeneral) else spec.expand()
             for x in enumerate_states(n, d):
-                row = moran_row(general, x).probs
+                row = moran_row_scalar(general, x).probs
                 by_row = math.fsum(p * ed.value(y) for y, p in row.items()) - ed.lam * ed.value(x)
                 assert eigen_residual(spec, ed, [x]) == pytest.approx(abs(by_row), abs=1e-12)
 
@@ -235,7 +234,6 @@ def test_general_moran_eigendata_builds_no_kernel_row(monkeypatch):
         raise AssertionError("kernel row built")
 
     monkeypatch.setattr(kernels, "transition_row", refuse)
-    monkeypatch.setattr(kernels, "moran_row", refuse)
     build_eigenfunction(delta_construction_matrix(0.05), 10**5)
     model_eigendata(MoranGeneral(100, MutationMatrix(_HEAVY_LAST_ROW)))
 
