@@ -225,13 +225,13 @@ def cmd_couple(cfg: RunConfig) -> int:
     first_y: list[Composition] = []
     violations = 0
     with contextlib.ExitStack() as stack:
-        writer = None
+        out = None
         if cfg.trajectories:
             # Each replicate's rows are written as soon as it finishes.
-            writer = csv.writer(stack.enter_context(_open_output(cfg.trajectories)))
-            writer.writerow(["replicate", "step", "x", "y", "coalesced"])
+            out = stack.enter_context(_open_output(cfg.trajectories))
+            out.write("replicate,step,x,y,coalesced\r\n")
         # Without a trajectories file only the first step is needed.
-        keep_steps = None if writer else 1
+        keep_steps = None if out else 1
         for rep, rng in enumerate(streams):
             try:
                 traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng, keep_steps)
@@ -244,9 +244,8 @@ def cmd_couple(cfg: RunConfig) -> int:
             if len(traj) > 1:
                 first_x.append(traj[1].x)
                 first_y.append(traj[1].y)
-            if writer:
-                writer.writerows((rep,) + row
-                                 for row in coupling.trajectory_csv_rows(traj, coal))
+            if out:
+                out.write(coupling.trajectory_csv(rep, traj, coal))
 
     coalesced = [c for c in coalescence if c is not None]
     quantiles = {}

@@ -25,6 +25,15 @@ surplus segments q_i - p_i in index order, then the common tail.  Population 1
 lands on index d exactly when the uniform leaves the shared prefix, in which
 case population 2 may land anywhere, and on index i < d otherwise, in which
 case population 2 lands on the same i.
+
+A step reads its draws straight from the bit generator through numpy's
+ctypes interface, ``rng.bit_generator.ctypes``: ``_below`` and ``_uniform``
+give the values ``rng.integers(0, n)`` and ``rng.random()`` would, in the same
+order, and leave the generator in the same state, at a fraction of the cost
+of a Generator call.  A ctypes call releases the GIL, so a step holds
+``rng.bit_generator.lock`` from its first draw to its last, as each Generator
+method does for its own draw, and calls no Generator method meanwhile (the
+lock is not reentrant).
 """
 from __future__ import annotations
 
@@ -86,22 +95,56 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
     return last, last
 
 
-def _draw_distinct(rng, n: int, k: int) -> list[int]:
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _below(bits, n: int) -> int:
+    """One draw from range(n): ``rng.integers(0, n)`` read off ``bits``.
+
+    ``bits`` is ``rng.bit_generator.ctypes``.  Lemire's multiply-and-shift
+    rejection (Lemire 2019), as numpy's Generator makes it: 32-bit words while
+    n <= 2^32, 64-bit words beyond, no draw at n = 1.  Results and the
+    generator's state afterwards equal those of the Generator method, which
+    also raises ValueError on an empty range.
+    """
+    if n <= 1:
+        if n == 1:
+            return 0
+        raise ValueError(f"cannot draw from range({n})")
+    if n <= _MASK32 + 1:
+        draw, width, mask = bits.next_uint32, 32, _MASK32
+    else:
+        draw, width, mask = bits.next_uint64, 64, _MASK64
+    state = bits.state
+    m = draw(state) * n
+    if m & mask < n:
+        threshold = (mask + 1 - n) % n
+        while m & mask < threshold:
+            m = draw(state) * n
+    return m >> width
+
+
+def _uniform(bits) -> float:
+    """``rng.random()`` read off ``bits`` (``rng.bit_generator.ctypes``)."""
+    return bits.next_double(bits.state)
+
+
+def _draw_distinct(bits, n: int, k: int) -> list[int]:
     """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only.
 
-    One scalar draw per label.  One or two labels need no store: the second
+    One bounded draw per label.  One or two labels need no store: the second
     draw lands on the first label's slot only to take slot 0's label.
     """
     if k == 1:
-        return [int(rng.integers(0, n))]
+        return [_below(bits, n)]
     if k == 2:
-        first = int(rng.integers(0, n))
-        j = 1 + int(rng.integers(0, n - 1))
+        first = _below(bits, n)
+        j = 1 + _below(bits, n - 1)
         return [first, 0 if j == first else j]
     moved: dict[int, int] = {}
     out = []
     for t in range(k):
-        j = t + int(rng.integers(0, n - t))
+        j = t + _below(bits, n - t)
         out.append(moved.get(j, j))
         moved[j] = moved.get(t, t)
     return out
@@ -125,9 +168,12 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     ends, cut, surplus = _blocks(x, y)
     n = ends[-1]
 
-    death = int(rng.integers(0, n))
-    parent = int(rng.integers(0, n))
-    u = rng.random()
+    bit_generator = rng.bit_generator
+    bits = bit_generator.ctypes
+    with bit_generator.lock:
+        death = _below(bits, n)
+        parent = _below(bits, n)
+        u = _uniform(bits)
 
     s1, s2 = _species(ends, cut, surplus, parent)
     if s1 == s2:
@@ -149,7 +195,7 @@ def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
     return CoupledPair(tuple(xn), tuple(yn))
 
 
-def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -> None:
+def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, bits, added=None) -> None:
     """s shared additions drawn with counts cx, cy (n_balls balls) in the urns.
 
     Population 1 draws by the weights of cx, population 2 by those of cy; each
@@ -159,10 +205,11 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -
     the spec's own weights in both populations, where dominated_pick is plain
     pick_index: both land on the same urn.
     """
+    uniform, state = bits.next_double, bits.state
     if not spec.reinforced:
         cum, total = spec.cum_weights, spec.weight_total
         for _ in range(spec.s):
-            i = bisect_left(cum, rng.random() * total)
+            i = bisect_left(cum, uniform(state) * total)
             out1[i] += 1
             out2[i] += 1
         return
@@ -170,7 +217,7 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, rng, added=None) -
     w2, _ = spec.add_weights(cy, n_balls)
     inc = spec.inc
     for _ in range(spec.s):
-        i1, i2 = dominated_pick(rng.random() * total, w1, w2)
+        i1, i2 = dominated_pick(uniform(state) * total, w1, w2)
         w1[i1] += inc
         w2[i2] += inc
         out1[i1] += 1
@@ -194,19 +241,22 @@ def coupled_urn_step(spec: UrnSpec, pair: CoupledPair, rng: np.random.Generator)
     ends, cut, surplus = _blocks(x, y)
     xn, yn = list(x), list(y)
     added: list[tuple[int, int]] = []
-    if spec.order == "updown":
-        _coupled_adds(spec, x, y, n, xn, yn, rng, added)
-    # Under up-down the marks fall among the N + s balls now present.
-    for lbl in _draw_distinct(rng, n + len(added), s):
-        s1, s2 = _species(ends, cut, surplus, lbl) if lbl < n else added[lbl - n]
-        xn[s1] -= 1
-        yn[s2] -= 1
-    if spec.order == "level":
-        # The additions reinforce the pre-removal weights (marked balls still
-        # present while the draws happen).
-        _coupled_adds(spec, x, y, n, xn, yn, rng)
-    elif spec.order == "downup":
-        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
+    bit_generator = rng.bit_generator
+    bits = bit_generator.ctypes
+    with bit_generator.lock:
+        if spec.order == "updown":
+            _coupled_adds(spec, x, y, n, xn, yn, bits, added)
+        # Under up-down the marks fall among the N + s balls now present.
+        for lbl in _draw_distinct(bits, n + len(added), s):
+            s1, s2 = _species(ends, cut, surplus, lbl) if lbl < n else added[lbl - n]
+            xn[s1] -= 1
+            yn[s2] -= 1
+        if spec.order == "level":
+            # The additions reinforce the pre-removal weights (marked balls
+            # still present while the draws happen).
+            _coupled_adds(spec, x, y, n, xn, yn, bits)
+        elif spec.order == "downup":
+            _coupled_adds(spec, xn, yn, n - s, xn, yn, bits)
     _check_order(xn, yn)
     return CoupledPair(tuple(xn), tuple(yn))
 
@@ -264,13 +314,14 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     return trajectory, None
 
 
-def trajectory_csv_rows(trajectory, coalesced_at: int | None):
-    """CSV rows (step, x, y, coalesced) with semicolon-joined counts."""
-    for step, pair in enumerate(trajectory):
-        coalesced = int(coalesced_at is not None and step >= coalesced_at)
-        yield (
-            step,
-            ";".join(str(c) for c in pair.x),
-            ";".join(str(c) for c in pair.y),
-            coalesced,
-        )
+def trajectory_csv(replicate: int, trajectory, coalesced_at: int | None) -> str:
+    """One replicate's CSV lines (replicate, step, x, y, coalesced), counts joined by ';'.
+
+    Byte for byte what ``csv.writer`` writes for these rows: no field needs
+    quoting, and every line ends in CRLF.
+    """
+    counts = ";".join(["%d"] * len(trajectory[0].x))
+    line = f"{replicate},%d,{counts},{counts},%d\r\n"
+    first = len(trajectory) if coalesced_at is None else coalesced_at
+    return "".join([line % (step, *x, *y, step >= first)
+                    for step, (x, y) in enumerate(trajectory)])

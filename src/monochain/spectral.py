@@ -99,8 +99,9 @@ def perron(m_star: np.ndarray,
     Starts from the all-ones vector, normalizes by the max entry, and stops
     when successive iterates agree to ``step_tol`` in max norm.  The returned
     vector has max entry 1.  Raises PerronConvergenceError when the iteration
-    oscillates (complex or tied dominant pair) or stalls, at once on an exact
-    2-cycle, and ValidationError on negative or non-finite entries.
+    oscillates (complex or tied dominant pair) or stalls, soon after the
+    iterates start to repeat exactly (an irreducible matrix with period p > 1),
+    and ValidationError on negative or non-finite entries.
     """
     a = np.asarray(m_star, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -113,9 +114,14 @@ def perron(m_star: np.ndarray,
         return 0.0, np.ones(k)
 
     # Only the product goes through numpy: the rest is the same IEEE float arithmetic.
+    # An iterate equal to an earlier one repeats forever, since the map is
+    # deterministic.  `back` catches a 2-cycle at once; longer cycles are found
+    # against `mark` (Brent), which moves on after 1, 2, 4, ... iterations.
+    dot = a.dot
     v, back = [1.0] * k, None
+    mark, since, power = v, 0, 1
     for _ in range(max_iter):
-        w = (a @ v).tolist()
+        w = dot(v).tolist()
         mx = max(w)
         if mx <= 0.0:
             raise PerronConvergenceError(
@@ -125,8 +131,14 @@ def perron(m_star: np.ndarray,
         if max(map(abs, map(sub, w, v))) < step_tol:
             lam, v = mx, np.array(w)
             break
-        if w == back:  # the map is deterministic, so this repeats forever
+        if w == back:
             raise PerronConvergenceError("Perron iteration failed: iterates cycle with period 2")
+        since += 1
+        if w == mark:
+            raise PerronConvergenceError(
+                f"Perron iteration failed: iterates cycle with period {since}")
+        if since == power:
+            mark, since, power = w, 0, 2 * power
         back, v = v, w
     else:
         raise PerronConvergenceError(

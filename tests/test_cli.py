@@ -302,7 +302,7 @@ def test_couple_builds_no_rows_without_trajectories(tmp_path, capsys, monkeypatc
     def no_rows(*args):
         raise AssertionError("trajectory rows built without --trajectories")
 
-    monkeypatch.setattr(coupling, "trajectory_csv_rows", no_rows)
+    monkeypatch.setattr(coupling, "trajectory_csv", no_rows)
     assert main(["couple", "--config", _write(tmp_path, COUPLE)]) == 0
     assert json.loads(capsys.readouterr().out)["replicates"] == 3
 

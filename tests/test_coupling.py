@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,11 +24,13 @@ from monochain import (
 )
 from monochain import coupling
 from monochain.coupling import (
+    _below,
     _blocks,
     _coupled_adds,
     _draw_distinct,
     _species,
-    trajectory_csv_rows,
+    _uniform,
+    trajectory_csv,
 )
 from monochain.kernels import pick_index
 from helpers import (
@@ -278,9 +283,20 @@ def test_tail_bound_on_coalescence_time():
 
 
 def test_trajectory_csv_rows():
+    # The text equals csv.writer's bytes for the same rows, CRLF line ends included.
+    rng = np.random.default_rng(24)
+    for d in range(2, 6):
+        for coalesced_at in (None, 0, 3, 7):
+            traj = [CoupledPair(*random_ordered_pair(rng, int(rng.integers(0, 10**6)), d))
+                    for _ in range(8)]
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows(
+                (5, step, ";".join(map(str, pair.x)), ";".join(map(str, pair.y)),
+                 int(coalesced_at is not None and step >= coalesced_at))
+                for step, pair in enumerate(traj))
+            assert trajectory_csv(5, traj, coalesced_at) == buf.getvalue()
     traj = [CoupledPair((0, 2), (1, 1)), CoupledPair((1, 1), (1, 1))]
-    rows = list(trajectory_csv_rows(traj, 1))
-    assert rows == [(0, "0;2", "1;1", 0), (1, "1;1", "1;1", 1)]
+    assert trajectory_csv(0, traj, 1) == "0,0,0;2,1;1,0\r\n0,1,1;1,1;1,1\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +334,15 @@ def dense_coupled_step(spec, pair, rng):
     n, s = spec.N, spec.s
     added = []
     if spec.order == "updown":
-        _coupled_adds(spec, x, y, n, xn, yn, rng, added)
+        _coupled_adds(spec, x, y, n, xn, yn, rng.bit_generator.ctypes, added)
     pop1, pop2 = pair_labels(x, y, added)
     for lbl in dense_draw_distinct(rng, len(pop1), s):
         xn[pop1[lbl]] -= 1
         yn[pop2[lbl]] -= 1
     if spec.order == "level":
-        _coupled_adds(spec, x, y, n, xn, yn, rng)
+        _coupled_adds(spec, x, y, n, xn, yn, rng.bit_generator.ctypes)
     elif spec.order == "downup":
-        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
+        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng.bit_generator.ctypes)
     return CoupledPair(tuple(xn), tuple(yn))
 
 
@@ -373,8 +389,65 @@ def test_sparse_draw_distinct_matches_dense_fisher_yates():
             for k in {0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 100) + 1)):
                 rng_sparse = np.random.default_rng([seed, n, k])
                 rng_dense = np.random.default_rng([seed, n, k])
-                labels = _draw_distinct(rng_sparse, n, k)
+                labels = _draw_distinct(rng_sparse.bit_generator.ctypes, n, k)
                 assert labels == dense_draw_distinct(rng_dense, n, k)
                 assert len(set(labels)) == k
                 # Same generator consumption.
                 assert rng_sparse.random() == rng_dense.random()
+
+
+# ---------------------------------------------------------------------------
+# Draws read off the bit generator equal the Generator methods
+# ---------------------------------------------------------------------------
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64, np.random.PCG64DXSM]
+EDGE_BOUNDS = [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_bit_stream_draws_match_the_generator_methods(bit_generator):
+    # Interleaved bounded draws and uniforms against a twin generator: the
+    # same values, and the same generator state at the end.
+    rng = np.random.Generator(bit_generator(77))
+    twin = np.random.Generator(bit_generator(77))
+    bits = rng.bit_generator.ctypes
+    picks = np.random.default_rng(78)
+    for t in range(20_000):
+        if t % 4 == 3:
+            assert _uniform(bits) == twin.random()
+            continue
+        if t % 4 == 0:
+            n = EDGE_BOUNDS[(t // 4) % len(EDGE_BOUNDS)]
+        else:
+            n = int(picks.integers(1, 2 ** int(picks.integers(1, 64))))
+        assert _below(bits, n) == int(twin.integers(0, n)), n
+    with pytest.raises(ValueError):
+        twin.integers(0, 0)
+    with pytest.raises(ValueError):
+        _below(bits, 0)
+    assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_coupled_step_waits_for_the_generator_lock(spec):
+    # A Generator method holds its bit generator's lock while it draws; a
+    # coupled step takes the same lock, so it waits while another holder has it.
+    pair = CoupledPair((0, 2, 6), (3, 3, 2))
+    rng, twin = np.random.default_rng(79), np.random.default_rng(79)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(coupled_step(spec, pair, rng)))
+    with rng.bit_generator.lock:
+        worker.start()
+        worker.join(timeout=0.1)
+        assert worker.is_alive() and not done
+    worker.join(timeout=10)
+    assert done == [coupled_step(spec, pair, twin)]
+    assert rng.bit_generator.state == twin.bit_generator.state

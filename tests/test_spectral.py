@@ -190,6 +190,37 @@ def test_perron_stops_at_once_on_a_two_cycle():
         perron(np.array([[0.0, 0.5], [0.7, 0.0]]), max_iter=2)
 
 
+def test_perron_stops_early_on_a_three_cycle():
+    # The reduced matrix of MutationMatrix([[.1, .5, .1, .3], [.1, .1, .6, .2],
+    # [.4, .1, .1, .4], [.1, .1, .1, .7]]) is a weighted 3-cycle: its iterates
+    # repeat with period 3, found well within 20 iterations.
+    reduced = np.array([[0.0, 0.4, 0.0], [0.0, 0.0, 0.5], [0.3, 0.0, 0.0]])
+    with pytest.raises(PerronConvergenceError, match="cycle with period 3$"):
+        perron(reduced, max_iter=20)
+
+
+def _random_periodic(rng, p: int) -> np.ndarray:
+    """Irreducible nonnegative matrix of period p: every edge goes from class c to c + 1."""
+    cls = np.repeat(np.arange(p), rng.integers(1, 4, size=p))
+    rng.shuffle(cls)
+    step = cls[None, :] == (cls[:, None] + 1) % p
+    a = rng.uniform(0.01, 1.0, step.shape) * step
+    return a * rng.uniform(0.3, 1.2) / a.sum(axis=1).max()
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_perron_reports_the_cycle_of_a_periodic_matrix(p):
+    # Exact iterates of a period-p matrix approach a cycle of period p; the
+    # float iterates can settle on a multiple of it.
+    rng = np.random.default_rng(100 + p)
+    for _ in range(50):
+        a = _random_periodic(rng, p)
+        with pytest.raises(PerronConvergenceError, match="cycle with period") as info:
+            perron(a, max_iter=2000)
+        assert int(str(info.value).rsplit(" ", 1)[1]) % p == 0
+        assert _outcome(perron_oracle, a) is PerronConvergenceError
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_perron_refuses_non_finite_entries(bad):
     with pytest.raises(ValidationError, match="finite"):
