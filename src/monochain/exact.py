@@ -7,17 +7,19 @@ started from the closed-form law where there is one, and from one sparse
 direct solve otherwise.  A TV curve writes its K^T products into the rows of
 a preallocated block and reduces each block's distances to stationarity at
 once.  Nothing makes the kernel dense.
+
+scipy's sparse stack is imported on the first exact-engine call (building a
+matrix, the graph check, the direct solve, a K^T product), not with the
+package: it takes most of the time of ``import monochain``, and the bounds,
+couplings and samplers never use it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.sparse.linalg import spsolve
 
 from .bounds import stationary_log_pmfs
 from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
@@ -30,6 +32,9 @@ from .statespace import (
     state_count,
     validate_composition,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _STATIONARY_CHECK_TOL = 1e-12
 # Power iteration from a closed-form start stops once successive iterates
@@ -80,6 +85,8 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     Rows come from kernels.kernel_rows a block of states at a time; a
     successor's column is its colex rank, which is its enumeration index.
     """
+    import scipy.sparse as sp
+
     expanded = expand_standard(spec)
     array = state_array(expanded.N, expanded.d, cap=cap)
     lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
@@ -100,6 +107,8 @@ def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
     The period is the gcd over edges u -> v of dist(u) + 1 - dist(v), with
     BFS distances from state 0; a self-loop settles it at 1 directly.
     """
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
     if n_comp != 1:
         return f"kernel is reducible ({n_comp} strong components)"
@@ -121,25 +130,34 @@ def _start(tm: TransitionMatrix) -> np.ndarray | None:
     return start / start.sum()
 
 
-def _product(kt: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out += K^T v by scipy's CSR kernel, the one ``kt @ v`` calls on a zeroed vector.
+def _product(kt: sp.csr_matrix):
+    """``product(v, out)``: out += K^T v by scipy's CSR kernel, the one ``kt @ v`` calls.
 
     v and out are contiguous float64 vectors; a zeroed out gets the bits of
-    ``kt @ v`` without its dispatch and allocation.
+    ``kt @ v`` without its dispatch and allocation.  A caller binds it once
+    and makes all of its products through it.
     """
-    csr_matvec(kt.shape[0], kt.shape[1], kt.indptr, kt.indices, kt.data, v, out)
-    return out
+    from scipy.sparse._sparsetools import csr_matvec
+
+    matvec = partial(csr_matvec, kt.shape[0], kt.shape[1], kt.indptr, kt.indices, kt.data)
+
+    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        matvec(v, out)
+        return out
+
+    return product
 
 
 def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
     """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
+    product = _product(kt)
     for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
-        prev, v = v, _product(kt, v, np.zeros(len(v)))
+        prev, v = v, product(v, np.zeros(len(v)))
         # A NaN settles too, and fails the residual check.
         if not float(np.max(np.abs(v - prev))) > _STATIONARY_STOP_TOL:
             return v, True
         for _ in range(_STATIONARY_CHECK_EVERY - 1):
-            v = _product(kt, v, np.zeros(len(v)))
+            v = product(v, np.zeros(len(v)))
     return v, False
 
 
@@ -147,11 +165,18 @@ def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
     """Unnormalized pi with pi (I - K) = 0 by one sparse LU solve.
 
     Pins the last state's mass at 1 and solves the other rows, a nonsingular
-    minor for an irreducible kernel.
+    minor for an irreducible kernel.  SuperLU orders the columns by minimum
+    degree on A^T + A and pivots on the diagonal where it can: these chains
+    can step back along most edges, so the pattern of I - K^T is nearly
+    symmetric, and the factors fill in less than under spsolve's COLAMD.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     a = (sp.identity(csr.shape[0], format="csc") - csr.T).tocsc()
     # With pi[-1] = 1, the last column of (I - K)^T moves to the right-hand side.
-    return np.append(spsolve(a[:-1, :-1], -a[:-1, -1].toarray().ravel()), 1.0)
+    lu = splu(a[:-1, :-1], permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    return np.append(lu.solve(-a[:-1, -1].toarray().ravel()), 1.0)
 
 
 def stationary(tm: TransitionMatrix) -> np.ndarray:
@@ -204,7 +229,7 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     if pi is None:
         pi = stationary(tm)
-    kt = tm.kt
+    product = _product(tm.kt)
     rows = min(n_max + 1, max(2, _TV_BLOCK_BUDGET // tm.dim))
     block = np.zeros((rows, tm.dim))
     block[0, tm.index[x0]] = 1.0
@@ -212,9 +237,9 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
     for lo in range(0, n_max + 1, rows):
         k = min(rows, n_max + 1 - lo)
         if lo:
-            _product(kt, last, block[0])
+            product(last, block[0])
         for r in range(1, k):
-            _product(kt, block[r - 1], block[r])
+            product(block[r - 1], block[r])
         last = block[k - 1].copy()
         dist = np.subtract(block[:k], pi, out=block[:k])
         np.abs(dist, out=dist)

@@ -10,7 +10,8 @@ linear eigenfunction
 with eigenvalue lambda = 1 - 1/N + lambda*/N.  f is strictly increasing along
 the dominance order with minimal increment c1 = min a*_i and sup-norm c2.
 The eigen identity is checked, with no kernel row, in increment form:
-Kf(x) - lambda f(x) = a*.(M^T x - x)_{<d} / N + (1 - lambda) f(x).
+Kf(x) - lambda f(x) = a*.(M^T x - x)_{<d} / N + (1 - lambda) f(x), where
+1 - lambda is read as the gap (1 - lambda*)/N, not from the rounded lambda.
 
 The urn families admit the same linear form with a* = (1, ..., 1) and
 closed-form second eigenvalues; see ``model_eigendata``.
@@ -34,6 +35,8 @@ from .kernels import ModelSpec, MoranGeneral, MoranStandard, MutationMatrix, Urn
 from .statespace import Composition, minimal_element, validate_composition
 
 _EIGEN_ROW_TOL = 1e-10
+# |lam - (1 - gap)| allowed between the two roundings of the same eigenvalue.
+_EIGEN_LAM_TOL = 4 * 2.0**-52
 _PERRON_RESIDUAL_TOL = 1e-12
 _PERRON_STEP_TOL = 1e-14
 _PERRON_MAX_ITER = 100_000
@@ -251,7 +254,14 @@ def eigenfunction_from_report(M: MutationMatrix, n_total: int,
     base, extra = divmod(n_total, d)
     probes = [minimal_element(n_total, d), (n_total,) + (0,) * (d - 1),
               tuple(base + (1 if i < extra else 0) for i in range(d))]
-    residual = _moran_residual(M, ed, probes)
+    # The check reads the gap (1 - lambda*)/N itself: 1 - lam has lost the
+    # low bits of the gap by N ~ 1e7, and f ~ N multiplies what is lost.
+    gap = (1.0 - lam_star) / n_total
+    if not abs(ed.lam - (1.0 - gap)) <= _EIGEN_LAM_TOL:
+        raise EigenConsistencyError(
+            f"second eigenvalue {ed.lam!r} is not 1 - gap for gap {gap!r}"
+        )
+    residual = _moran_residual(M, ed, probes, gap)
     if residual > _EIGEN_ROW_TOL:
         raise EigenConsistencyError(
             f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over {probes}"
@@ -309,7 +319,7 @@ def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
     spec = kernels.expand_standard(spec)
     states = [validate_composition(x, ed.N, ed.d) for x in states]
     if isinstance(spec, MoranGeneral):
-        return _moran_residual(spec.M, ed, states)
+        return _moran_residual(spec.M, ed, states, 1.0 - ed.lam)
     worst = 0.0
     for x in states:
         fx = ed.value(x)
@@ -319,9 +329,10 @@ def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
     return worst
 
 
-def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:
+def _moran_residual(M: MutationMatrix, ed: EigenData, states, gap: float) -> float:
+    """Max over states of |(Kf - f)(x) + gap f(x)|, gap standing for 1 - lam."""
     x = np.array(states, dtype=float).reshape(-1, ed.d)
     a = np.array(ed.a_star)
     kf_minus_f = (x @ M.matrix - x)[:, :-1] @ a / ed.N
     f = x[:, :-1] @ a + ed.f0
-    return float(np.max(np.abs(kf_minus_f + (1.0 - ed.lam) * f), initial=0.0))
+    return float(np.max(np.abs(kf_minus_f + gap * f), initial=0.0))

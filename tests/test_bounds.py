@@ -182,6 +182,22 @@ def test_bound_report_epsilon_above_coefficients():
     assert report.steps_necessary == 0 and report.steps_sufficient == 0
 
 
+def test_general_moran_bounds_at_large_n():
+    # At N >= 1e7 the rounded 1 - lam, times f ~ N, once pushed the eigen
+    # check's residual past its tolerance on 7 of these 9 chains.
+    rng = np.random.default_rng(2014)
+    eps = 0.25
+    for d in (3, 4, 5):
+        M = random_dominated_matrix(rng, d)
+        for n in (10**7, 10**8, 5 * 10**8):
+            report = bound_report(MoranGeneral(n, M), (n,) + (0,) * (d - 1), eps)
+            for coeff, steps in ((report.lower_coeff, report.steps_necessary),
+                                 (report.upper_coeff, report.steps_sufficient)):
+                assert coeff * report.lam**steps <= eps
+                if steps > 0:
+                    assert coeff * report.lam ** (steps - 1) > eps
+
+
 def test_report_json_shape():
     report = bound_report(PolyaDownUp(100, 1, (180.0,) * 5), (0, 10, 0, 10, 80), 0.01)
     doc = report.to_json_dict()

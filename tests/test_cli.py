@@ -410,6 +410,50 @@ def test_exact_at_d5_in_bounded_memory(tmp_path):
                <= float(r["upper_bound"]) + 1e-11 for r in rows)
 
 
+# Imports the package in a fresh interpreter; given a command and config
+# paths, runs `cli.main([command, "--config", path])` on each.  Prints the
+# exit codes and what was loaded.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+import monochain.cli
+args = sys.argv[1:]
+codes = []
+for path in args[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(monochain.cli.main([args[0], "--config", path]))
+print(json.dumps({"codes": codes, "exact": "monochain.exact" in sys.modules,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _loaded_after(*args):
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *args],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    # The exact engine's module is imported with the package; scipy is not.
+    loaded = _loaded_after()
+    assert loaded["exact"] and loaded["scipy"] == []
+
+
+@pytest.mark.parametrize("command", ["bounds", "couple", "spectral"])
+def test_subcommands_without_the_exact_engine_load_no_scipy(command):
+    configs = sorted(str(p) for p in CONFIG_DIR.glob("*.json"))
+    loaded = _loaded_after(command, *configs)
+    assert 0 in loaded["codes"] and set(loaded["codes"]) <= {0, 2}
+    assert loaded["scipy"] == []
+
+
+def test_exact_loads_scipy_on_first_use():
+    loaded = _loaded_after("exact", str(CONFIG_DIR / "couple_small.json"))
+    assert loaded["codes"] == [0]
+    assert "scipy.sparse" in loaded["scipy"]
+
+
 @pytest.mark.parametrize("spec,x", [
     (MoranGeneral(6, delta_construction_matrix(0.05)), (1, 2, 3)),
     (MoranStandard(6, 0.4, (0.3, 0.2, 0.5)), (0, 0, 6)),
