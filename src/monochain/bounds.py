@@ -9,6 +9,10 @@ from any start x reads
 The crude comparison bound lam^n / (2 sqrt(pi(x))) needs the stationary mass
 at x; it is evaluated in log space because the coefficient reaches 1e19 at
 the scales of interest.
+
+The public functions validate their input, then call private kernels that
+take it as valid, so each formula has one arithmetic path.  ``bound_report``
+validates its start once and passes the checked tuple to those kernels.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranStandard, UrnSpec
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec
 from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
@@ -66,11 +70,13 @@ def tv_bound_coefficients(ed: EigenData, x: Composition) -> tuple[float, float]:
     Uses E_pi f = 0 and f >= f(0), so the upper expectation collapses to the
     closed form f(x) - 2 f(0); no stationary law is needed.
     """
-    x = validate_composition(x, ed.N, ed.d)
+    return _coefficients(ed, validate_composition(x, ed.N, ed.d))
+
+
+def _coefficients(ed: EigenData, x: Composition) -> tuple[float, float]:
+    """tv_bound_coefficients at a validated start."""
     fx = ed.value(x)
-    lower = abs(fx) / (2.0 * ed.c2)
-    upper = (fx - 2.0 * ed.f0) / ed.c1
-    return lower, upper
+    return abs(fx) / (2.0 * ed.c2), (fx - 2.0 * ed.f0) / ed.c1
 
 
 def steps_to_epsilon(coeff: float, lam: float, epsilon: float) -> int:
@@ -80,10 +86,13 @@ def steps_to_epsilon(coeff: float, lam: float, epsilon: float) -> int:
     exactly as evaluated in floating point (the golden step counts sit close
     to ceiling boundaries).
     """
-    if epsilon <= 0.0:
+    # Written so that NaN fails each check.
+    if not epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"decay rate must be in (0, 1), got {lam}")
+    if not math.isfinite(coeff):
+        raise ValidationError(f"coefficient must be finite, got {coeff}")
     if coeff <= epsilon:
         return 0
     n = max(0, math.ceil(math.log(coeff / epsilon) / -math.log(lam)))
@@ -101,31 +110,39 @@ def dm_log_pmf(x, n_total: int, alpha) -> float:
     for integer weights; the log-gamma form below extends that to real
     weights and avoids overflow.
     """
+    x, alpha = _counts_and_weights(x, n_total, alpha, "alpha")
+    return _dm_log_pmf(x, n_total, alpha, math.fsum(alpha))
+
+
+def multinomial_log_pmf(x, n_total: int, p) -> float:
+    """Log multinomial pmf of counts x under cell probabilities p."""
+    x, p = _counts_and_weights(x, n_total, p, "p")
+    return _multinomial_log_pmf(x, n_total, p)
+
+
+def _counts_and_weights(x, n_total: int, weights, name: str):
+    """(x, weights) as tuples, checked: x sums to N, one positive weight per count."""
     x = tuple(x)
     if sum(x) != n_total:
         raise ValidationError(f"counts {x!r} do not sum to N={n_total}")
-    alpha = tuple(float(a) for a in alpha)
-    if len(alpha) != len(x):
-        raise ValidationError("alpha and x must have the same length")
-    if any(a <= 0.0 for a in alpha):
-        raise ValidationError("alpha entries must be positive")
-    total = math.fsum(alpha)
+    weights = tuple(float(w) for w in weights)
+    if len(weights) != len(x):
+        raise ValidationError(f"{name} and x must have the same length")
+    if any(w <= 0.0 for w in weights):
+        raise ValidationError(f"{name} entries must be positive")
+    return x, weights
+
+
+def _dm_log_pmf(x, n_total: int, alpha, total: float) -> float:
+    """dm_log_pmf with checked inputs and total = fsum(alpha)."""
     out = math.lgamma(n_total + 1) + math.lgamma(total) - math.lgamma(n_total + total)
     for xi, ai in zip(x, alpha):
         out += math.lgamma(xi + ai) - math.lgamma(xi + 1) - math.lgamma(ai)
     return out
 
 
-def multinomial_log_pmf(x, n_total: int, p) -> float:
-    """Log multinomial pmf of counts x under cell probabilities p."""
-    x = tuple(x)
-    if sum(x) != n_total:
-        raise ValidationError(f"counts {x!r} do not sum to N={n_total}")
-    p = tuple(float(v) for v in p)
-    if len(p) != len(x):
-        raise ValidationError("p and x must have the same length")
-    if any(v <= 0.0 for v in p):
-        raise ValidationError("p entries must be positive")
+def _multinomial_log_pmf(x, n_total: int, p) -> float:
+    """multinomial_log_pmf with checked inputs."""
     out = math.lgamma(n_total + 1)
     for xi, pi in zip(x, p):
         out -= math.lgamma(xi + 1)
@@ -134,22 +151,23 @@ def multinomial_log_pmf(x, n_total: int, p) -> float:
     return out
 
 
-def _closed_form(spec: ModelSpec) -> tuple[tuple[float, ...], bool]:
-    """(weights, reinforced) of the spec's closed-form stationary law.
+def _closed_form(spec: ModelSpec) -> tuple[tuple[float, ...], float, bool]:
+    """(weights, their fsum, reinforced) of the spec's closed-form stationary law.
 
     The law is Dirichlet-multinomial with alpha = weights when reinforced, and
-    multinomial with p = weights otherwise.  Standard Moran and the three
-    Polya variants are Dirichlet-multinomial (standard Moran with
-    alpha_i = N m p_i / (1 - m), degenerating to the multinomial at m = 1);
-    Ehrenfest is multinomial.  The general Moran chain has no known
-    stationary law.
+    multinomial with p = weights otherwise (the total is then unused).
+    Standard Moran and the three Polya variants are Dirichlet-multinomial
+    (standard Moran with alpha_i = N m p_i / (1 - m), degenerating to the
+    multinomial at m = 1); Ehrenfest is multinomial.  The general Moran chain
+    has no known stationary law.
     """
     if isinstance(spec, MoranStandard):
         if spec.m == 1.0:
-            return spec.p, False
-        return tuple(spec.N * spec.m * pi / (1.0 - spec.m) for pi in spec.p), True
+            return spec.p, 1.0, False
+        alpha = tuple(spec.N * spec.m * pi / (1.0 - spec.m) for pi in spec.p)
+        return alpha, math.fsum(alpha), True
     if isinstance(spec, UrnSpec):
-        return spec.weights, spec.reinforced
+        return spec.weights, spec.weight_total, spec.reinforced
     raise UnknownStationaryError(
         f"crude bound unavailable: no closed-form stationary law for "
         f"{type(spec).__name__}"
@@ -158,10 +176,15 @@ def _closed_form(spec: ModelSpec) -> tuple[tuple[float, ...], bool]:
 
 def stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
     """Log stationary mass at x, where a closed form is known (see _closed_form)."""
-    x = validate_composition(x, spec.N, spec.d)
-    weights, reinforced = _closed_form(spec)
-    log_pmf = dm_log_pmf if reinforced else multinomial_log_pmf
-    return log_pmf(x, spec.N, weights)
+    return _stationary_log_pmf(spec, validate_composition(x, spec.N, spec.d))
+
+
+def _stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
+    """stationary_log_pmf at a validated state."""
+    weights, total, reinforced = _closed_form(spec)
+    if reinforced:
+        return _dm_log_pmf(x, spec.N, weights, total)
+    return _multinomial_log_pmf(x, spec.N, weights)
 
 
 def stationary_log_pmfs(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
@@ -170,11 +193,10 @@ def stationary_log_pmfs(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
     The per-coordinate terms of dm_log_pmf or multinomial_log_pmf are tabled
     over the counts 0..N with math.lgamma and indexed by the states.
     """
-    weights, reinforced = _closed_form(spec)
+    weights, total, reinforced = _closed_form(spec)
     n = spec.N
     counts = range(n + 1)
     if reinforced:
-        total = math.fsum(weights)
         const = math.lgamma(n + 1) + math.lgamma(total) - math.lgamma(n + total)
         table = [[math.lgamma(c + a) - math.lgamma(c + 1) - math.lgamma(a) for c in counts]
                  for a in weights]
@@ -194,17 +216,24 @@ def _report_steps(coeff: float, lam: float, epsilon: float) -> int:
 
 def crude_bound(spec: ModelSpec, x: Composition) -> float:
     """Coefficient 1 / (2 sqrt(pi(x))) of the crude spectral upper bound."""
-    return math.exp(-0.5 * stationary_log_pmf(spec, x) - math.log(2.0))
+    return _crude_bound(spec, validate_composition(x, spec.N, spec.d))
+
+
+def _crude_bound(spec: ModelSpec, x: Composition) -> float:
+    """crude_bound at a validated start."""
+    return math.exp(-0.5 * _stationary_log_pmf(spec, x) - math.log(2.0))
 
 
 def bound_report(spec: ModelSpec, x: Composition, epsilon: float) -> BoundReport:
-    """Full bound evaluation: eigendata, coefficient pair, step counts, crude numbers."""
+    """Full bound evaluation: eigendata, coefficient pair, step counts, crude numbers.
+
+    The start is validated once; the general Moran chain, with no known
+    stationary law, has no crude numbers.
+    """
     ed = model_eigendata(spec)
-    lower, upper = tv_bound_coefficients(ed, x)
-    try:
-        crude = crude_bound(spec, x)
-    except UnknownStationaryError:
-        crude = None
+    x = validate_composition(x, ed.N, ed.d)
+    lower, upper = _coefficients(ed, x)
+    crude = None if isinstance(spec, MoranGeneral) else _crude_bound(spec, x)
     return BoundReport(
         lam=ed.lam,
         lower_coeff=lower,

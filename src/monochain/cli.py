@@ -216,7 +216,12 @@ def cmd_couple(cfg: RunConfig) -> int:
     if not partial_leq(x0, y0):
         raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
     spec = expand_standard(cfg.spec)
-    ed = spectral.model_eigendata(cfg.spec)
+    # General Moran eigendata reuses the Perron run of the coupler's condition check.
+    if isinstance(cfg.spec, MoranGeneral):
+        report = coupling.mutation_conditions(spec.M)
+        ed = spectral.eigenfunction_from_report(spec.M, spec.N, report)
+    else:
+        ed = spectral.model_eigendata(cfg.spec)
 
     streams = [np.random.default_rng(s) for s in
                np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)]

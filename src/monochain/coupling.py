@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
 from .kernels import ModelSpec, MoranGeneral, MutationMatrix, UrnSpec, expand_standard
-from .spectral import classify_conditions
+from .spectral import ConditionReport, classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
 
 
@@ -269,13 +269,14 @@ def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -
 
 
 @lru_cache(maxsize=8)
-def _monotone(M: MutationMatrix) -> bool:
-    """Whether M meets a dominated-last-row condition, checked once per matrix.
+def mutation_conditions(M: MutationMatrix) -> ConditionReport:
+    """classify_conditions(M), made once per matrix.
 
     A mutation matrix is immutable and hashed by identity, so the replicates
-    of one run share a single check.
+    of one run, and the eigendata of a ``couple`` command, share a single
+    check and its Perron run.
     """
-    return classify_conditions(M).any_holds
+    return classify_conditions(M)
 
 
 def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
@@ -294,7 +295,7 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     y0 = validate_composition(y0, n, d)
     if not partial_leq(x0, y0):
         raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
-    if isinstance(spec, MoranGeneral) and not _monotone(spec.M):
+    if isinstance(spec, MoranGeneral) and not mutation_conditions(spec.M).any_holds:
         raise ValidationError(
             "coupled Moran steps need a mutation matrix satisfying a "
             "dominated-last-row monotonicity condition"

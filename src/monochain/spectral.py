@@ -15,12 +15,17 @@ Kf(x) - lambda f(x) = a*.(M^T x - x)_{<d} / N + (1 - lambda) f(x), where
 
 The urn families admit the same linear form with a* = (1, ..., 1) and
 closed-form second eigenvalues; see ``model_eigendata``.
+
+The public functions validate their input.  Past that, the scalar work reads
+the mutation matrix's float rows (``MutationMatrix.rows``) and Python floats;
+numpy holds the reduced matrix and does the array work of the Perron run
+(its checks, products and residual) and of the eigen check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import le, lt, mul, sub
 
 import numpy as np
 
@@ -72,16 +77,16 @@ class ConditionReport:
 
 def classify_conditions(M: MutationMatrix) -> ConditionReport:
     """Evaluate the three monotonicity conditions for a mutation matrix."""
-    m = M.matrix
     d = M.d
-    top = m[: d - 1, : d - 1]
-    last = m[d - 1, : d - 1]
-    reduced = top - last[np.newaxis, :]
+    m = M.matrix
+    reduced = m[: d - 1, : d - 1] - m[d - 1, : d - 1][np.newaxis, :]
     reduced.setflags(write=False)
 
-    col_min = np.min(top, axis=0)
-    weak = bool(np.all(last <= col_min))
-    strict = bool(np.all(last < col_min))
+    # The domination tests read the same floats from M.rows.
+    last = M.rows[d - 1][: d - 1]
+    col_min = list(map(min, zip(*M.rows[: d - 1])))
+    weak = all(map(le, last, col_min))
+    strict = all(map(lt, last, col_min))
     c2 = weak and kernels._strongly_connected(reduced > 0.0)
     lam_star = a_star = error = None
     if weak:
@@ -90,7 +95,7 @@ def classify_conditions(M: MutationMatrix) -> ConditionReport:
             a_star.setflags(write=False)
         except PerronConvergenceError as exc:
             error = exc
-    c3 = a_star is not None and bool(np.all(a_star > 0.0))
+    c3 = a_star is not None and min(a_star.tolist()) > 0.0
     return ConditionReport(strict, c2, c3, reduced, lam_star, a_star, error)
 
 
@@ -109,30 +114,32 @@ def perron(m_star: np.ndarray,
     a = np.asarray(m_star, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"reduced matrix must be square, got shape {a.shape}")
-    if not np.all((a >= 0.0) & (a < math.inf)):  # a Python max over NaN is order-dependent
+    if not ((a >= 0.0) & (a < math.inf)).all():  # a Python max over NaN is order-dependent
         raise ValidationError("reduced matrix must be nonnegative and finite")
     k = a.shape[0]
-    if not np.any(a):
+    if not a.any():
         # Zero matrix: every positive vector is an eigenvector for 0.
         return 0.0, np.ones(k)
 
-    # Only the product goes through numpy: the rest is the same IEEE float arithmetic.
+    # The iterate `vec` stays the array that `dot` returned, divided by its
+    # max; the stopping and cycle checks read it as a float list, `w`.
     # An iterate equal to an earlier one repeats forever, since the map is
     # deterministic.  `back` catches a 2-cycle at once; longer cycles are found
     # against `mark` (Brent), which moves on after 1, 2, 4, ... iterations.
     dot = a.dot
-    v, back = [1.0] * k, None
+    vec, v, back = np.ones(k), [1.0] * k, None
     mark, since, power = v, 0, 1
     for _ in range(max_iter):
-        w = dot(v).tolist()
-        mx = max(w)
+        vec = dot(vec)
+        mx = max(vec.tolist())
         if mx <= 0.0:
             raise PerronConvergenceError(
                 "Perron iteration failed: iterate vanished (nilpotent reduced matrix?)"
             )
-        w = [x / mx for x in w]
+        vec /= mx
+        w = vec.tolist()
         if max(map(abs, map(sub, w, v))) < step_tol:
-            lam, v = mx, np.array(w)
+            lam, v = mx, vec
             break
         if w == back:
             raise PerronConvergenceError("Perron iteration failed: iterates cycle with period 2")
@@ -148,7 +155,7 @@ def perron(m_star: np.ndarray,
             f"Perron iteration failed to converge within {max_iter} iterations"
         )
 
-    residual = float(np.max(np.abs(a @ v - lam * v)))
+    residual = float(abs(a @ v - lam * v).max())
     if residual > _PERRON_RESIDUAL_TOL:
         raise PerronConvergenceError(
             f"Perron iteration converged to residual {residual:.3e} > {_PERRON_RESIDUAL_TOL}"
@@ -232,19 +239,19 @@ def eigenfunction_from_report(M: MutationMatrix, n_total: int,
         )
     if report.perron_error is not None:
         raise report.perron_error
-    lam_star, a_star = report.lam_star, report.a_star
+    lam_star, a_star = report.lam_star, tuple(report.a_star.tolist())
     d = M.d
-    a_d = math.fsum(M.matrix[d - 1, j] * a_star[j] for j in range(d - 1)) / (lam_star - 1.0)
+    a_d = math.fsum(map(mul, M.rows[d - 1][: d - 1], a_star)) / (lam_star - 1.0)
     if not a_d < 0.0:
         raise EigenConsistencyError(
             f"expected a negative shift for the last species, got a_d={a_d}"
         )
     lam = 1.0 - 1.0 / n_total + lam_star / n_total
-    c1 = float(np.min(a_star))
-    c2 = max(-n_total * a_d, n_total * (float(np.max(a_star)) + a_d))
+    c1 = min(a_star)
+    c2 = max(-n_total * a_d, n_total * (max(a_star) + a_d))
     ed = EigenData(
         lam=lam,
-        a_star=tuple(float(a) for a in a_star),
+        a_star=a_star,
         a_d=a_d,
         c1=c1,
         c2=c2,

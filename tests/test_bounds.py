@@ -66,6 +66,45 @@ def test_steps_to_epsilon_boundary_definition():
             assert coeff * lam ** (n - 1) > eps
 
 
+@pytest.mark.parametrize("coeff,epsilon", [
+    (1.0, math.nan),
+    (math.nan, 0.01),
+    (math.inf, 0.01),
+    (-math.inf, 0.01),
+])
+def test_steps_to_epsilon_refuses_non_finite_inputs(coeff, epsilon):
+    with pytest.raises(ValidationError):
+        steps_to_epsilon(coeff, 0.9, epsilon)
+
+
+def test_steps_to_epsilon_negative_coefficient_needs_no_steps():
+    assert steps_to_epsilon(-3.0, 0.9, 0.01) == 0
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -math.inf, 0.0])
+def test_bound_report_refuses_an_invalid_epsilon(epsilon):
+    with pytest.raises(ValidationError, match="epsilon"):
+        bound_report(PolyaLevel(10, 2, (2.0, 1.0, 1.0)), (2, 3, 5), epsilon)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dm_log_pmf((1, 2, 3), 7, (1.0, 2.0, 0.5)),
+    lambda: dm_log_pmf((1, 2, 3), 6, (1.0, 2.0)),
+    lambda: dm_log_pmf((1, 2, 3), 6, (1.0, 0.0, 0.5)),
+    lambda: multinomial_log_pmf((1, 2, 3), 5, (0.2, 0.3, 0.5)),
+    lambda: multinomial_log_pmf((1, 2, 3), 6, (0.2, 0.3, 0.4, 0.1)),
+    lambda: multinomial_log_pmf((1, 2, 3), 6, (0.5, -0.1, 0.6)),
+    lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 2.0, 0.5)), (1, 2, 4)),
+    lambda: stationary_log_pmf(Ehrenfest(6, 1, (0.2, 0.3, 0.5)), (1, 2, 2, 1)),
+    lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 0.0, 0.5)), (1, 2, 3)),
+], ids=["dm_sum", "dm_length", "dm_weight", "multinomial_sum", "multinomial_length",
+        "multinomial_weight", "stationary_sum", "stationary_length", "stationary_weight"])
+def test_log_pmfs_refuse_invalid_input(call):
+    # A stationary law's weights are the spec's, refused when it is built.
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_dm_pmf_normalizes():
     for alpha in [(1.0, 1.0, 1.0), (0.5, 2.5, 1.25), (180.0, 180.0, 180.0)]:
         total = math.fsum(
@@ -174,6 +213,58 @@ def bound_report_outcomes():
 def test_bound_reports_match_pinned_digest():
     text = json.dumps(list(bound_report_outcomes()), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BOUND_REPORT_DIGEST
+
+
+def _lean_path_inputs():
+    """A seeded mix of all six families, d = 2..8 and N = 10..10^8.
+
+    Starts are multinomial draws around the stationary shares, so the crude
+    coefficient stays in float range; uniform for the general Moran chain.
+    """
+    rng = np.random.default_rng(2016)
+    for family in range(6):
+        for d in range(2, 9):
+            for _ in range(3):
+                n = int(10 ** rng.uniform(1.0, 8.0))
+                s = int(rng.integers(1, 9))
+                alpha = tuple(float(a) for a in rng.uniform(0.4, 3.0, size=d))
+                p = random_prob_vector(rng, d)
+                spec = [
+                    MoranGeneral(n, random_dominated_matrix(rng, d)),
+                    MoranStandard(n, float(rng.uniform(0.1, 1.0)), p),
+                    PolyaLevel(n, s, alpha),
+                    PolyaUpDown(n, s, alpha),
+                    PolyaDownUp(n, s, alpha),
+                    Ehrenfest(n, s, p),
+                ][family]
+                if family == 0:
+                    yield spec, random_state(rng, n, d)
+                else:
+                    shares = np.array(alpha if family in (2, 3, 4) else p)
+                    x = rng.multinomial(n, shares / shares.sum())
+                    yield spec, tuple(int(c) for c in x)
+
+
+def test_bound_report_matches_the_public_functions():
+    # bound_report validates its start once and calls private kernels; every
+    # field must equal, as floats, what the public functions give.
+    eps = 0.01
+    for spec, x in _lean_path_inputs():
+        report = bound_report(spec, x, eps)
+        ed = model_eigendata(spec)
+        lower, upper = tv_bound_coefficients(ed, x)
+        assert report.lam == ed.lam
+        assert report.lower_coeff == lower and report.upper_coeff == upper
+        assert report.steps_necessary == steps_to_epsilon(lower, ed.lam, eps)
+        assert report.steps_sufficient == steps_to_epsilon(upper, ed.lam, eps)
+        if isinstance(spec, MoranGeneral):
+            assert report.crude_coeff is None and report.steps_crude is None
+            with pytest.raises(UnknownStationaryError):
+                crude_bound(spec, x)
+        else:
+            crude = crude_bound(spec, x)
+            assert report.crude_coeff == crude
+            assert report.steps_crude == steps_to_epsilon(crude, ed.lam, eps)
 
 
 def test_bound_report_epsilon_above_coefficients():

@@ -556,6 +556,21 @@ def test_spectral_makes_one_perron_run(tmp_path, capsys, monkeypatch, doc, diges
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_couple_makes_one_perron_run(tmp_path, capsys, monkeypatch):
+    # The eigendata reuse the Perron run of the coupler's condition check.
+    calls = []
+    real = spectral.perron
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "perron", counting)
+    assert main(["couple", "--config", str(CONFIG_DIR / "moran_general.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["order_violations"] == 0
+    assert len(calls) == 1
+
+
 def test_spectral_failing_matrix_exits_nonzero(tmp_path, capsys):
     doc = {
         "model": {

@@ -227,8 +227,9 @@ def test_run_coupled_keeps_only_the_steps_asked_for():
 
 
 def test_run_coupled_memory_is_flat_in_the_step_budget():
-    # Keeping one step, a replicate of 2 * 10^5 steps (none coalescing this
-    # far apart at N = 10^4) peaks within 1 MB of one of 10^3 steps.
+    # Keeping one step, a replicate of 2 * 10^4 steps (none coalescing this
+    # far apart at N = 10^4) peaks within 1 MB of one of 10^3 steps.  Keeping
+    # every pair of 2 * 10^4 steps would hold several MB.
     spec = PolyaDownUp(10_000, 1, (1.0, 2.0, 1.5))
     x0, y0 = (0, 0, 10_000), (5_000, 4_000, 1_000)
 
@@ -240,7 +241,7 @@ def test_run_coupled_memory_is_flat_in_the_step_budget():
         finally:
             tracemalloc.stop()
 
-    small, large = peak(1_000), peak(200_000)
+    small, large = peak(1_000), peak(20_000)
     assert small[1:] == large[1:] == (2, None)
     assert large[0] - small[0] <= 2**20
 
