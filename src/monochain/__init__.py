@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .coupling import (
     CoupledPair,
-    coupled_moran_step,
     coupled_step,
     dominated_pick,
     run_coupled,

@@ -7,15 +7,17 @@ first step with equal states) therefore bounds the total variation distance
 between the two laws.
 
 Labels 0..N-1 are reassigned fresh from the current pair at every step and
-held as at most 2d block boundaries, never label by label.  Population 1
-numbers its individuals through the species blocks of x in order, so a label
-bisects the cumulative counts of x.  Population 2 shares every label below
-the cut N - x_d + y_d and parks its surplus individuals (one per unit of
-y_i - x_i, i < d) on the labels from the cut up in ascending species order,
-so those labels bisect the cumulative surpluses.  Every label then either
-carries the same species in both populations or species d in population 1 and
-some species < d in population 2 -- the property all removal steps rely on.
-A coupled step costs O(d + s log d), whatever N is.
+held as species blocks, never label by label.  Population 1 numbers its
+individuals through the species blocks of x in order, so a label falls in
+the block of x whose running count first exceeds it.  Population 2 shares
+every label below the cut N - x_d + y_d and parks its surplus individuals
+(one per unit of y_i - x_i, i < d) on the labels from the cut up in
+ascending species order, so those labels fall in the blocks of the
+surpluses.  Every label then either carries the same species in both
+populations or species d in population 1 and some species < d in
+population 2 -- the property all removal steps rely on.  A label's species
+is found by walking the d blocks, so a coupled step costs O(s d), whatever
+N is.
 
 Shared categorical decisions use one uniform each.  When the two populations
 draw from different distributions p (population 1) and q (population 2) with
@@ -27,26 +29,35 @@ case population 2 may land anywhere, and on index i < d otherwise, in which
 case population 2 lands on the same i.
 
 A step reads its draws straight from the bit generator through numpy's
-ctypes interface, ``rng.bit_generator.ctypes``: ``_below`` and ``_uniform``
-give the values ``rng.integers(0, n)`` and ``rng.random()`` would, in the same
-order, and leave the generator in the same state, at a fraction of the cost
-of a Generator call.  A ctypes call releases the GIL, so a step holds
-``rng.bit_generator.lock`` from its first draw to its last, as each Generator
-method does for its own draw, and calls no Generator method meanwhile (the
-lock is not reentrant).
+ctypes interface, ``rng.bit_generator.ctypes``: the ``below(n)`` and
+``next_double`` that ``_draws`` binds give the values ``rng.integers(0, n)``
+and ``rng.random()`` would, in the same order, and leave the generator in the
+same state, at a fraction of the cost of a Generator call.  Each family has
+one step body, and ``_bind`` pairs it with the spec and the generator's draws
+once per trajectory.  A ctypes call releases the GIL, so the draws are made
+under ``rng.bit_generator.lock``, as each Generator method makes its own:
+``run_coupled`` holds it for a whole trajectory and ``coupled_step`` for one
+step, so another thread drawing from the same generator waits for the
+trajectory to end.  Neither calls a Generator method meanwhile: in some
+numpy versions the lock is not reentrant.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MutationMatrix, UrnSpec, expand_standard
+from .kernels import (
+    ModelSpec,
+    MoranGeneral,
+    MutationMatrix,
+    UrnSpec,
+    as_integer,
+    expand_standard,
+)
 from .spectral import ConditionReport, classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
 
@@ -56,19 +67,9 @@ class CoupledPair(NamedTuple):
     y: Composition
 
 
-def _blocks(x, y) -> tuple[list[int], int, list[int]]:
-    """Block form of the labeling: (block ends of x, cut, surplus ends)."""
-    ends = list(accumulate(x))
-    return ends, ends[-1] - x[-1] + y[-1], list(accumulate(map(sub, y[:-1], x)))
-
-
-def _species(ends, cut, surplus, lbl: int) -> tuple[int, int]:
-    """(population 1 species, population 2 species) of a label below N."""
-    if lbl < cut:
-        sp = bisect_right(ends, lbl)
-        return sp, sp
-    # Population 1's last block holds every label from the cut up.
-    return len(ends) - 1, bisect_right(surplus, lbl - cut)
+# CoupledPair(x, y) without the Python-level __new__ of a NamedTuple, as its
+# _make builds it: one for each coupled step made or kept.
+_new_pair = tuple.__new__
 
 
 def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
@@ -95,56 +96,58 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
     return last, last
 
 
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+def _draws(bits):
+    """(below, next_double, state): the draws of ``bits``, ``rng.bit_generator.ctypes``.
 
-
-def _below(bits, n: int) -> int:
-    """One draw from range(n): ``rng.integers(0, n)`` read off ``bits``.
-
-    ``bits`` is ``rng.bit_generator.ctypes``.  Lemire's multiply-and-shift
-    rejection (Lemire 2019), as numpy's Generator makes it: 32-bit words while
-    n <= 2^32, 64-bit words beyond, no draw at n = 1.  Results and the
-    generator's state afterwards equal those of the Generator method, which
-    also raises ValueError on an empty range.
+    The functions and state of ``bits`` are bound once.
+    ``next_double(state)`` is ``rng.random()``.  ``below(n)`` is one draw
+    from range(n), ``rng.integers(0, n)``: Lemire's multiply-and-shift
+    rejection (Lemire 2019), as numpy's Generator makes it, with 32-bit words
+    while n <= 2^32, 64-bit words beyond, and no draw at n = 1.  Values and
+    the generator's state afterwards equal those of the Generator methods;
+    ``below`` also raises ValueError on an empty range.  Masks and shifts are
+    literals, since ``below`` is the hottest call of a coupled step.
     """
-    if n <= 1:
+    next32, next64, state = bits.next_uint32, bits.next_uint64, bits.state
+
+    def below(n):
+        if 1 < n <= 1 << 32:
+            m = next32(state) * n
+            if m & 0xFFFF_FFFF < n:
+                threshold = ((1 << 32) - n) % n
+                while m & 0xFFFF_FFFF < threshold:
+                    m = next32(state) * n
+            return m >> 32
+        if n > 1:
+            m = next64(state) * n
+            if m & 0xFFFF_FFFF_FFFF_FFFF < n:
+                threshold = ((1 << 64) - n) % n
+                while m & 0xFFFF_FFFF_FFFF_FFFF < threshold:
+                    m = next64(state) * n
+            return m >> 64
         if n == 1:
             return 0
         raise ValueError(f"cannot draw from range({n})")
-    if n <= _MASK32 + 1:
-        draw, width, mask = bits.next_uint32, 32, _MASK32
-    else:
-        draw, width, mask = bits.next_uint64, 64, _MASK64
-    state = bits.state
-    m = draw(state) * n
-    if m & mask < n:
-        threshold = (mask + 1 - n) % n
-        while m & mask < threshold:
-            m = draw(state) * n
-    return m >> width
+
+    return below, bits.next_double, state
 
 
-def _uniform(bits) -> float:
-    """``rng.random()`` read off ``bits`` (``rng.bit_generator.ctypes``)."""
-    return bits.next_double(bits.state)
-
-
-def _draw_distinct(bits, n: int, k: int) -> list[int]:
+def _draw_distinct(below, n: int, k: int) -> list[int]:
     """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only.
 
     One bounded draw per label.  One or two labels need no store: the second
     draw lands on the first label's slot only to take slot 0's label.
     """
     if k == 1:
-        return [_below(bits, n)]
+        return [below(n)]
     if k == 2:
-        first = _below(bits, n)
-        j = 1 + _below(bits, n - 1)
+        first = below(n)
+        j = 1 + below(n - 1)
         return [first, 0 if j == first else j]
     moved: dict[int, int] = {}
     out = []
     for t in range(k):
-        j = t + _below(bits, n - t)
+        j = t + below(n - t)
         out.append(moved.get(j, j))
         moved[j] = moved.get(t, t)
     return out
@@ -156,60 +159,75 @@ def _check_order(x, y) -> None:
             raise CouplingOrderError(f"coupled step broke the order: {x} !<= {y}")
 
 
-def coupled_moran_step(M: MutationMatrix, pair: CoupledPair,
-                       rng: np.random.Generator) -> CoupledPair:
-    """One coupled Moran step: shared death and parent labels, shared mutation uniform.
+def _species(x, y, cut: int, lbl: int) -> tuple[int, int]:
+    """(population 1 species, population 2 species) of a label below N.
 
-    Requires a mutation matrix with dominated last row (one of the
-    monotonicity conditions); otherwise the rearranged mutation intervals are
-    invalid.  Marginals follow the exact Moran row of each population.
+    A label below the cut falls in the same block of x in both populations.
+    One from the cut up is species d in population 1, and in population 2 it
+    falls in a block of the surpluses y_i - x_i, i < d.  The blocks are
+    walked in order, which for the few species of a model beats forming
+    their cumulative counts.
     """
-    x, y = pair
-    ends, cut, surplus = _blocks(x, y)
-    n = ends[-1]
+    sp = 0
+    if lbl < cut:
+        lbl -= x[0]
+        while lbl >= 0:
+            sp += 1
+            lbl -= x[sp]
+        return sp, sp
+    lbl -= cut + y[0] - x[0]
+    while lbl >= 0:
+        sp += 1
+        lbl -= y[sp] - x[sp]
+    return len(x) - 1, sp
 
-    bit_generator = rng.bit_generator
-    bits = bit_generator.ctypes
-    with bit_generator.lock:
-        death = _below(bits, n)
-        parent = _below(bits, n)
-        u = _uniform(bits)
 
-    s1, s2 = _species(ends, cut, surplus, parent)
+def _moran_step(spec: MoranGeneral, draws, x, y):
+    """One coupled Moran step (x, y) -> (x', y'), as count lists, reading ``draws``.
+
+    Shared death and parent labels, shared mutation uniform.  Requires a
+    mutation matrix with dominated last row (one of the monotonicity
+    conditions); otherwise the rearranged mutation intervals are invalid.
+    Marginals follow the exact Moran row of each population.
+    """
+    below, next_double, state = draws
+    n = spec.N
+    cut = n - x[-1] + y[-1]
+    death, parent, u = below(n), below(n), next_double(state)
+    M = spec.M
+    s1, s2 = _species(x, y, cut, parent)
     if s1 == s2:
         # Shared label range: both offspring mutate through the same row.
         born1 = born2 = bisect_left(M.cum_rows[s1], u)
     else:
-        # Extra label: population 1's parent is species d, population 2's is
-        # s2 < d, whose row dominates row d off the last column.
+        # Surplus label: population 1's parent is species d, population 2's
+        # is s2 < d, whose row dominates row d off the last column.
         born1, born2 = dominated_pick(u, M.rows[-1], M.rows[s2])
-
-    dead1, dead2 = _species(ends, cut, surplus, death)
-    xn = list(x)
+    dead1, dead2 = _species(x, y, cut, death)
+    xn, yn = list(x), list(y)
     xn[born1] += 1
     xn[dead1] -= 1
-    yn = list(y)
     yn[born2] += 1
     yn[dead2] -= 1
-    _check_order(xn, yn)
-    return CoupledPair(tuple(xn), tuple(yn))
+    return xn, yn
 
 
-def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, bits, added=None) -> None:
+def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, next_double, state,
+                  added=None) -> None:
     """s shared additions drawn with counts cx, cy (n_balls balls) in the urns.
 
     Population 1 draws by the weights of cx, population 2 by those of cy; each
-    draw adds the spec's increment to the weight it picks.  The balls go into
-    the count lists out1 and out2, and their urn pairs onto ``added`` if given
-    (up-down, whose draws are always reinforced).  Draws that add nothing read
-    the spec's own weights in both populations, where dominated_pick is plain
-    pick_index: both land on the same urn.
+    draw adds the spec's increment to the weight it picks and reads one
+    uniform, ``next_double(state)``.  The balls go into the count lists out1
+    and out2, and their urn pairs onto ``added`` if given (up-down, whose
+    draws are always reinforced).  Draws that add nothing read the spec's own
+    weights in both populations, where dominated_pick is plain pick_index:
+    both land on the same urn.
     """
-    uniform, state = bits.next_double, bits.state
     if not spec.reinforced:
         cum, total = spec.cum_weights, spec.weight_total
         for _ in range(spec.s):
-            i = bisect_left(cum, uniform(state) * total)
+            i = bisect_left(cum, next_double(state) * total)
             out1[i] += 1
             out2[i] += 1
         return
@@ -217,7 +235,7 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, bits, added=None) 
     w2, _ = spec.add_weights(cy, n_balls)
     inc = spec.inc
     for _ in range(spec.s):
-        i1, i2 = dominated_pick(uniform(state) * total, w1, w2)
+        i1, i2 = dominated_pick(next_double(state) * total, w1, w2)
         w1[i1] += inc
         w2[i2] += inc
         out1[i1] += 1
@@ -227,45 +245,60 @@ def _coupled_adds(spec: UrnSpec, cx, cy, n_balls, out1, out2, bits, added=None) 
         total += inc
 
 
-def coupled_urn_step(spec: UrnSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
-    """One coupled urn step (level, up-down, or down-up order).
+def _urn_step(spec: UrnSpec, draws, x, y):
+    """One coupled urn step (x, y) -> (x', y'), as count lists, reading ``draws``.
 
-    All orders share mark labels and one uniform per addition; they differ
-    only in when the marked balls leave relative to the additions.  Up-down
-    gives the s added balls labels N..N+s-1 (same per-label species property)
-    before marking out of N + s.  Non-reinforced additions draw from the same
-    weights in both populations, so both land on the same urn.
+    All orders (level, up-down, down-up) share mark labels and one uniform
+    per addition; they differ only in when the marked balls leave relative
+    to the additions.  Up-down gives the s added balls labels N..N+s-1 (same
+    per-label species property) before marking out of N + s.
+    Non-reinforced additions draw from the same weights in both populations,
+    so both land on the same urn.
     """
-    x, y = pair
-    n, s = spec.N, spec.s
-    ends, cut, surplus = _blocks(x, y)
+    below, next_double, state = draws
+    n, s, order = spec.N, spec.s, spec.order
+    cut = n - x[-1] + y[-1]
     xn, yn = list(x), list(y)
     added: list[tuple[int, int]] = []
-    bit_generator = rng.bit_generator
-    bits = bit_generator.ctypes
-    with bit_generator.lock:
-        if spec.order == "updown":
-            _coupled_adds(spec, x, y, n, xn, yn, bits, added)
-        # Under up-down the marks fall among the N + s balls now present.
-        for lbl in _draw_distinct(bits, n + len(added), s):
-            s1, s2 = _species(ends, cut, surplus, lbl) if lbl < n else added[lbl - n]
-            xn[s1] -= 1
-            yn[s2] -= 1
-        if spec.order == "level":
-            # The additions reinforce the pre-removal weights (marked balls
-            # still present while the draws happen).
-            _coupled_adds(spec, x, y, n, xn, yn, bits)
-        elif spec.order == "downup":
-            _coupled_adds(spec, xn, yn, n - s, xn, yn, bits)
-    _check_order(xn, yn)
-    return CoupledPair(tuple(xn), tuple(yn))
+    if order == "updown":
+        _coupled_adds(spec, x, y, n, xn, yn, next_double, state, added)
+    # Under up-down the marks fall among the N + s balls now present.
+    for lbl in _draw_distinct(below, n + len(added), s):
+        s1, s2 = _species(x, y, cut, lbl) if lbl < n else added[lbl - n]
+        xn[s1] -= 1
+        yn[s2] -= 1
+    if order == "level":
+        # The additions reinforce the pre-removal weights (marked balls
+        # still present while the draws happen).
+        _coupled_adds(spec, x, y, n, xn, yn, next_double, state)
+    elif order == "downup":
+        _coupled_adds(spec, xn, yn, n - s, xn, yn, next_double, state)
+    return xn, yn
+
+
+def _bind(spec: ModelSpec, rng: np.random.Generator):
+    """(step, spec, draws): ``step(spec, draws, x, y)`` makes one coupled step.
+
+    ``step`` is the family's step body, ``spec`` the spec with a standard
+    Moran chain expanded, and ``draws`` those of ``rng``, to be read under
+    its bit generator's lock.
+    """
+    spec = expand_standard(spec)
+    step = _urn_step if isinstance(spec, UrnSpec) else _moran_step
+    return step, spec, _draws(rng.bit_generator.ctypes)
 
 
 def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
-    """Dispatch one coupled step for any model spec."""
-    if isinstance(spec, UrnSpec):
-        return coupled_urn_step(spec, pair, rng)
-    return coupled_moran_step(expand_standard(spec).M, pair, rng)
+    """One coupled step of any model spec from the ordered pair ``pair``.
+
+    The step run_coupled makes, holding ``rng.bit_generator.lock`` for the
+    step.  Raises CouplingOrderError if the step breaks the order.
+    """
+    step, spec, draws = _bind(spec, rng)
+    with rng.bit_generator.lock:
+        x, y = step(spec, draws, *pair)
+    _check_order(x, y)
+    return _new_pair(CoupledPair, (tuple(x), tuple(y)))
 
 
 @lru_cache(maxsize=8)
@@ -291,6 +324,11 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     """
     spec = expand_standard(spec)
     n, d = spec.N, spec.d
+    max_steps = as_integer(max_steps, "max_steps")
+    kept = max_steps if keep_steps is None else as_integer(keep_steps, "keep_steps")
+    if max_steps < 0 or kept < 0:
+        raise ValidationError(
+            f"max_steps and keep_steps must be >= 0, got {max_steps} and {keep_steps}")
     x0 = validate_composition(x0, n, d)
     y0 = validate_composition(y0, n, d)
     if not partial_leq(x0, y0):
@@ -301,17 +339,19 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
             "dominated-last-row monotonicity condition"
         )
 
-    pair = CoupledPair(x0, y0)
-    trajectory = [pair]
+    trajectory = [CoupledPair(x0, y0)]
     if x0 == y0:
         return trajectory, 0
-    kept = max_steps if keep_steps is None else keep_steps
-    for step in range(1, max_steps + 1):
-        pair = coupled_step(spec, pair, rng)
-        if step <= kept:
-            trajectory.append(pair)
-        if pair.x == pair.y:
-            return trajectory, step
+    step, spec, draws = _bind(spec, rng)
+    x, y = x0, y0
+    with rng.bit_generator.lock:
+        for t in range(1, max_steps + 1):
+            x, y = step(spec, draws, x, y)
+            _check_order(x, y)
+            if t <= kept:
+                trajectory.append(_new_pair(CoupledPair, (tuple(x), tuple(y))))
+            if x == y:
+                return trajectory, t
     return trajectory, None
 
 

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import add
+from operator import add, ge, le
 from typing import Iterator, Union
 
 import numpy as np
@@ -571,12 +571,14 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     x = validate_composition(x, N, d)
     z = validate_composition(z, N, d)
     if isinstance(spec, MoranGeneral):
+        step = [zi - xi for xi, zi in zip(x, z)]
+        # Equal totals: one count up by 1 and one down by 1, or no path leads to z.
+        if z != x and sum(map(abs, step)) != 2:
+            return 0.0
         # The products of _moran_paths, and for staying their sum in its order.
         target = (spec.M.matrix.T @ (np.asarray(x, dtype=float) / N)).tolist()
         if z != x:
-            step = np.subtract(z, x)
-            # Equal totals: one count up by 1 and one down by 1, or no path leads to z.
-            return x[step.argmin()] / N * target[step.argmax()] if abs(step).sum() == 2 else 0.0
+            return x[step.index(-1)] / N * target[step.index(1)]
         off_total = 0.0
         for j in range(d):
             for i in range(d):
@@ -585,27 +587,30 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
         stay = 1.0 - off_total
         return stay if stay > 1e-13 else 0.0
     s, inc = spec.s, spec.inc
-    comps = _step_vectors(s, d)
+    comps = _step_vectors(s, d).tolist()
     out = 0.0
     if spec.order == "updown":
         beta, total = spec.add_weights(x, N)
         denom = math.comb(N + s, s)
         # a >= z - x, so that z is reachable by removals.
-        for a in comps[(comps >= np.subtract(z, x)).all(axis=1)].tolist():
-            grown = tuple(xi + ai for xi, ai in zip(x, a))
-            r = tuple(g - zi for g, zi in zip(grown, z))
-            out += _add_pmf(a, beta, total, inc) * _hypergeom_pmf(r, grown, denom)
+        low = [zi - xi for xi, zi in zip(x, z)]
+        for a in comps:
+            if all(map(ge, a, low)):
+                grown = tuple(xi + ai for xi, ai in zip(x, a))
+                r = tuple(g - zi for g, zi in zip(grown, z))
+                out += _add_pmf(a, beta, total, inc) * _hypergeom_pmf(r, grown, denom)
         return out
     denom = math.comb(N, s)
     # x - z <= r <= x, so that the removal fits and z is reachable by additions.
-    fits = (comps >= np.subtract(x, z)) & (comps <= x)
-    for r in comps[fits.all(axis=1)].tolist():
-        base = tuple(xi - ri for xi, ri in zip(x, r))
-        # Level-order additions see the urn before the marked balls leave.
-        beta, total = (spec.add_weights(x, N) if spec.order == "level"
-                       else spec.add_weights(base, N - s))
-        a = tuple(zi - b for zi, b in zip(z, base))
-        out += _hypergeom_pmf(r, x, denom) * _add_pmf(a, beta, total, inc)
+    low = [xi - zi for xi, zi in zip(x, z)]
+    for r in comps:
+        if all(map(ge, r, low)) and all(map(le, r, x)):
+            base = tuple(xi - ri for xi, ri in zip(x, r))
+            # Level-order additions see the urn before the marked balls leave.
+            beta, total = (spec.add_weights(x, N) if spec.order == "level"
+                           else spec.add_weights(base, N - s))
+            a = tuple(zi - b for zi, b in zip(z, base))
+            out += _hypergeom_pmf(r, x, denom) * _add_pmf(a, beta, total, inc)
     return out
 
 

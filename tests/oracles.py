@@ -9,7 +9,8 @@ linear system instead of iterating, so it shares no start, stop rule or
 closed form with the package's power iteration; for kernels with no closed
 form the package runs the same solve.  The Perron oracle is the reduced
 matrix's power iteration as first written, on numpy arrays throughout, and
-the scalar Moran row is the one-state row builder as first written.
+the scalar Moran row is the one-state row builder as first written.  The
+coupled urn additions draw through Generator methods, not the bit stream.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ from monochain import (
     PerronConvergenceError,
     TransitionRow,
     ValidationError,
+    dominated_pick,
     validate_composition,
 )
+from monochain.kernels import pick_index
 
 
 def species_of_labels(x) -> list[int]:
@@ -51,6 +54,36 @@ def pair_labels(x, y, added=()) -> tuple[list[int], list[int]]:
     cut = len(pop1) - x[-1] + y[-1]
     pop2 = pop1[:cut] + species_of_labels([b - a for a, b in zip(x[:-1], y)])
     return pop1 + [a for a, _ in added], pop2 + [b for _, b in added]
+
+
+def coupled_adds(spec, cx, cy, n_balls, out1, out2, rng, added=None) -> None:
+    """The coupler's s shared urn additions, one ``rng.random()`` each.
+
+    Population 1 picks by weights[i] + cx[i], population 2 by
+    weights[i] + cy[i] (n_balls balls each), through dominated_pick's
+    rearranged intervals, and each pick adds 1 to the weight it takes.
+    Without reinforcement both populations invert the CDF of the spec's own
+    weights.  The balls go into out1 and out2, and their urn pairs onto
+    ``added`` if given.
+    """
+    if not spec.reinforced:
+        for _ in range(spec.s):
+            i = pick_index(rng.random() * spec.weight_total, spec.weights)
+            out1[i] += 1
+            out2[i] += 1
+        return
+    w1 = [w + c for w, c in zip(spec.weights, cx)]
+    w2 = [w + c for w, c in zip(spec.weights, cy)]
+    total = spec.weight_total + n_balls
+    for _ in range(spec.s):
+        i1, i2 = dominated_pick(rng.random() * total, w1, w2)
+        w1[i1] += 1.0
+        w2[i2] += 1.0
+        out1[i1] += 1
+        out2[i2] += 1
+        if added is not None:
+            added.append((i1, i2))
+        total += 1.0
 
 
 def _mark_prob(n_balls: int, s: int) -> Fraction:

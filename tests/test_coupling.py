@@ -9,6 +9,7 @@ import pytest
 
 from monochain import (
     CoupledPair,
+    CouplingOrderError,
     Ehrenfest,
     MoranGeneral,
     MoranStandard,
@@ -24,12 +25,10 @@ from monochain import (
 )
 from monochain import coupling
 from monochain.coupling import (
-    _below,
-    _blocks,
-    _coupled_adds,
     _draw_distinct,
-    _species,
-    _uniform,
+    _draws,
+    _moran_step,
+    _urn_step,
     trajectory_csv,
 )
 from monochain.kernels import pick_index
@@ -39,7 +38,7 @@ from helpers import (
     random_ordered_pair,
     random_prob_vector,
 )
-from oracles import pair_labels
+from oracles import coupled_adds, pair_labels
 
 MORAN = MoranGeneral(8, delta_construction_matrix(0.05))
 FAMILIES = [
@@ -56,7 +55,7 @@ def test_labeling_reproduces_worked_example():
     pop1, pop2 = pair_labels(x, y)
     assignments = list(zip(pop1, pop2))
     # The cut is k1 + k2 with k1 = N - x_d = 13 and k2 = y_d = 2.
-    assert _blocks(x, y)[1] == 13 + 2
+    assert sum(x) - x[-1] + y[-1] == 13 + 2
     # The two surplus individuals of population 2 take the unused labels of
     # population 1's last species block, in ascending species order.
     assert assignments[15] == (3, 0)
@@ -78,7 +77,7 @@ def test_labeling_invariants_random_pairs():
         x, y = random_ordered_pair(rng, n, d)
         pop1, pop2 = pair_labels(x, y)
         assignments = list(zip(pop1, pop2))
-        cut = _blocks(x, y)[1]
+        cut = n - x[-1] + y[-1]
         assert all(s1 == s2 for s1, s2 in assignments[:cut])
         assert all(s1 == d - 1 and s2 < d - 1 for s1, s2 in assignments[cut:])
         for sp in range(d):
@@ -226,6 +225,108 @@ def test_run_coupled_keeps_only_the_steps_asked_for():
         assert kept == full[:keep + 1] and coal_kept == coal
 
 
+@pytest.mark.parametrize("budget", [
+    {"max_steps": 10.0}, {"max_steps": -3}, {"max_steps": True},
+    {"keep_steps": -2}, {"keep_steps": 2.5},
+], ids=lambda budget: "-".join(f"{k}={v!r}" for k, v in budget.items()))
+def test_run_coupled_refuses_a_bad_step_budget(budget):
+    args = {"max_steps": 10, "keep_steps": None, **budget}
+    rng, twin = np.random.default_rng(25), np.random.default_rng(25)
+    with pytest.raises(ValidationError, match=next(iter(budget))):
+        run_coupled(FAMILIES[1], (0, 0, 8), (4, 3, 1), args["max_steps"], rng, args["keep_steps"])
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _stepped(spec, x0, y0, max_steps, rng, keep_steps):
+    """run_coupled's result, made by a loop of coupled_step calls."""
+    pair = CoupledPair(x0, y0)
+    trajectory = [pair]
+    for step in range(1, max_steps + 1):
+        pair = coupled_step(spec, pair, rng)
+        if keep_steps is None or step <= keep_steps:
+            trajectory.append(pair)
+        if pair.x == pair.y:
+            return trajectory, step
+    return trajectory, None
+
+
+@pytest.mark.parametrize("n", [8, 100, 10_000])
+def test_run_coupled_matches_a_loop_of_coupled_steps(n):
+    # The trajectory path and the one-step path run the same step: the same
+    # pairs, the same coalescence step and the same generator state after.
+    params = np.random.default_rng(26)
+    specs = [
+        MoranGeneral(n, random_dominated_matrix(params, 3)),
+        MoranStandard(n, 0.3, random_prob_vector(params, 3)),
+        PolyaLevel(n, 2, (1.5, 2.0, 1.0)),
+        PolyaUpDown(n, 2, (1.5, 2.0, 1.0)),
+        PolyaDownUp(n, 1, (0.5, 2.0, 1.0)),
+        Ehrenfest(n, 2, random_prob_vector(params, 3)),
+    ]
+    far = ((0, 0, n), (n // 2, n // 4, n - n // 2 - n // 4))
+    near = ((0, 0, n), (1, 0, n - 1))
+    coalesced = 0
+    for seed, spec in enumerate(specs):
+        for x0, y0 in (far, near):
+            for keep in (None, 1):
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = run_coupled(spec, x0, y0, 300, rng, keep)
+                assert got == _stepped(spec, x0, y0, 300, twin, keep), (spec, x0, y0, keep)
+                assert rng.bit_generator.state == twin.bit_generator.state
+                coalesced += got[1] is not None
+    if n == 8:
+        assert coalesced == len(specs) * 4
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_a_broken_order_raises_and_frees_the_generator(spec, monkeypatch):
+    # Whether a step returns or raises CouplingOrderError, the generator's
+    # lock is free afterwards and the generator still draws.  The lock is
+    # tried from another thread: in some numpy versions it is reentrant.
+    rng = np.random.default_rng(27)
+    lock = rng.bit_generator.lock
+
+    def assert_free():
+        acquired = []
+
+        def try_lock():
+            if lock.acquire(blocking=False):
+                acquired.append(True)
+                lock.release()
+
+        other = threading.Thread(target=try_lock)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive() and acquired == [True]
+        assert 0.0 <= rng.random() < 1.0
+
+    x0, y0 = (0, 2, 6), (3, 3, 2)
+    checked = []
+    real = coupling._check_order
+    monkeypatch.setattr(coupling, "_check_order", lambda x, y: checked.append(1) or real(x, y))
+    _, coal = run_coupled(spec, x0, y0, 50, rng)
+    # The order is checked after every step.
+    assert len(checked) == (50 if coal is None else coal)
+    assert_free()
+    coupled_step(spec, CoupledPair(x0, y0), rng)
+    assert_free()
+    # A swapped pair breaks the order in the step itself.
+    with pytest.raises(CouplingOrderError):
+        coupled_step(spec, CoupledPair(y0, x0), rng)
+    assert_free()
+
+    def broken(x, y):
+        raise CouplingOrderError(f"coupled step broke the order: {x} !<= {y}")
+
+    monkeypatch.setattr(coupling, "_check_order", broken)
+    with pytest.raises(CouplingOrderError):
+        run_coupled(spec, x0, y0, 50, rng)
+    assert_free()
+    with pytest.raises(CouplingOrderError):
+        coupled_step(spec, CoupledPair(x0, y0), rng)
+    assert_free()
+
+
 def test_run_coupled_memory_is_flat_in_the_step_budget():
     # Keeping one step, a replicate of 2 * 10^4 steps (none coalescing this
     # far apart at N = 10^4) peaks within 1 MB of one of 10^3 steps.  Keeping
@@ -335,28 +436,44 @@ def dense_coupled_step(spec, pair, rng):
     n, s = spec.N, spec.s
     added = []
     if spec.order == "updown":
-        _coupled_adds(spec, x, y, n, xn, yn, rng.bit_generator.ctypes, added)
+        coupled_adds(spec, x, y, n, xn, yn, rng, added)
     pop1, pop2 = pair_labels(x, y, added)
     for lbl in dense_draw_distinct(rng, len(pop1), s):
         xn[pop1[lbl]] -= 1
         yn[pop2[lbl]] -= 1
     if spec.order == "level":
-        _coupled_adds(spec, x, y, n, xn, yn, rng.bit_generator.ctypes)
+        coupled_adds(spec, x, y, n, xn, yn, rng)
     elif spec.order == "downup":
-        _coupled_adds(spec, xn, yn, n - s, xn, yn, rng.bit_generator.ctypes)
+        coupled_adds(spec, xn, yn, n - s, xn, yn, rng)
     return CoupledPair(tuple(xn), tuple(yn))
 
 
+def _removed(before, after) -> int:
+    """The species a step took one individual from, when it added one to species 0."""
+    (species,) = [i for i, (a, b) in enumerate(zip(before, after)) if b - a - (i == 0) == -1]
+    return species
+
+
 def test_block_map_matches_explicit_label_lists():
+    # Both step bodies, fed a scripted death or mark label and a zero uniform
+    # (every offspring and every added ball then goes to species 0), take
+    # that label's individual from the species the explicit lists give it.
     rng = np.random.default_rng(22)
+    params = np.random.default_rng(122)
     for _ in range(2000):
         d = int(rng.integers(2, 6))
         n = int(rng.integers(0, 41))
         x, y = random_ordered_pair(rng, n, d)
+        if n == 0:
+            continue
         pop1, pop2 = pair_labels(x, y)
-        blocks = _blocks(x, y)
-        expected = tuple(zip(pop1, pop2))
-        assert tuple(_species(*blocks, lbl) for lbl in range(n)) == expected
+        bodies = ((_moran_step, MoranGeneral(n, random_dominated_matrix(params, d))),
+                  (_urn_step, Ehrenfest(n, 1, random_prob_vector(params, d))))
+        for lbl in range(n):
+            draws = (lambda _n: lbl, lambda _state: 0.0, None)
+            for step, model in bodies:
+                xn, yn = step(model, draws, x, y)
+                assert (_removed(x, xn), _removed(y, yn)) == (pop1[lbl], pop2[lbl])
 
 
 def test_coupled_steps_match_explicit_label_lists():
@@ -390,7 +507,8 @@ def test_sparse_draw_distinct_matches_dense_fisher_yates():
             for k in {0, 1, 2, n // 2, n - 1, n} & set(range(min(n, 100) + 1)):
                 rng_sparse = np.random.default_rng([seed, n, k])
                 rng_dense = np.random.default_rng([seed, n, k])
-                labels = _draw_distinct(rng_sparse.bit_generator.ctypes, n, k)
+                below = _draws(rng_sparse.bit_generator.ctypes)[0]
+                labels = _draw_distinct(below, n, k)
                 assert labels == dense_draw_distinct(rng_dense, n, k)
                 assert len(set(labels)) == k
                 # Same generator consumption.
@@ -412,21 +530,21 @@ def test_bit_stream_draws_match_the_generator_methods(bit_generator):
     # same values, and the same generator state at the end.
     rng = np.random.Generator(bit_generator(77))
     twin = np.random.Generator(bit_generator(77))
-    bits = rng.bit_generator.ctypes
+    below, next_double, state = _draws(rng.bit_generator.ctypes)
     picks = np.random.default_rng(78)
     for t in range(20_000):
         if t % 4 == 3:
-            assert _uniform(bits) == twin.random()
+            assert next_double(state) == twin.random()
             continue
         if t % 4 == 0:
             n = EDGE_BOUNDS[(t // 4) % len(EDGE_BOUNDS)]
         else:
             n = int(picks.integers(1, 2 ** int(picks.integers(1, 64))))
-        assert _below(bits, n) == int(twin.integers(0, n)), n
+        assert below(n) == int(twin.integers(0, n)), n
     with pytest.raises(ValueError):
         twin.integers(0, 0)
     with pytest.raises(ValueError):
-        _below(bits, 0)
+        below(0)
     assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
 
 
