@@ -30,16 +30,26 @@ case population 2 lands on the same i.
 
 A step reads its draws straight from the bit generator through numpy's
 ctypes interface, ``rng.bit_generator.ctypes``: the ``below(n)`` and
-``next_double`` that ``_draws`` binds give the values ``rng.integers(0, n)``
-and ``rng.random()`` would, in the same order, and leave the generator in the
-same state, at a fraction of the cost of a Generator call.  Each family has
-one step body, and ``_bind`` pairs it with the spec and the generator's draws
-once per trajectory.  A ctypes call releases the GIL, so the draws are made
-under ``rng.bit_generator.lock``, as each Generator method makes its own:
-``run_coupled`` holds it for a whole trajectory and ``coupled_step`` for one
-step, so another thread drawing from the same generator waits for the
-trajectory to end.  Neither calls a Generator method meanwhile: in some
-numpy versions the lock is not reentrant.
+``next_double`` that ``kernels._draws``, the one binding helper, binds give
+the values ``rng.integers(0, n)`` and ``rng.random()`` would, in the same
+order, and leave the generator in the same state, at a fraction of the cost
+of a Generator call.  Each family has one step body.  A ctypes call releases
+the GIL, so the draws are made under ``rng.bit_generator.lock``, as each
+Generator method makes its own: ``run_coupled`` binds the draws once per
+replicate and holds the lock for a whole trajectory, and ``coupled_step``
+holds it for one step, so another thread drawing from the same generator
+waits for the trajectory to end.  Neither calls a Generator method
+meanwhile: in some numpy versions the lock is not reentrant.
+
+``coupled_step`` keeps a one-slot record of its last successful call: the
+bit generator with its bound draws, and the spec with the pair it returned.
+A call with the same bit generator reuses the draws, and a call given back
+that very pair (``is``) with the same spec object skips validating it, since
+a step from a valid ordered pair yields one (the order is checked after
+every step, and tuples are immutable).  Any other pair is validated.  The
+record is one tuple, read once and replaced in one assignment, so a thread
+sees either the old record or the new one, never a mix of two calls; and it
+holds at most one generator alive.
 """
 from __future__ import annotations
 
@@ -55,6 +65,7 @@ from .kernels import (
     MoranGeneral,
     MutationMatrix,
     UrnSpec,
+    _draws,
     as_integer,
     expand_standard,
 )
@@ -94,42 +105,6 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
         if v <= cum:
             return last, t
     return last, last
-
-
-def _draws(bits):
-    """(below, next_double, state): the draws of ``bits``, ``rng.bit_generator.ctypes``.
-
-    The functions and state of ``bits`` are bound once.
-    ``next_double(state)`` is ``rng.random()``.  ``below(n)`` is one draw
-    from range(n), ``rng.integers(0, n)``: Lemire's multiply-and-shift
-    rejection (Lemire 2019), as numpy's Generator makes it, with 32-bit words
-    while n <= 2^32, 64-bit words beyond, and no draw at n = 1.  Values and
-    the generator's state afterwards equal those of the Generator methods;
-    ``below`` also raises ValueError on an empty range.  Masks and shifts are
-    literals, since ``below`` is the hottest call of a coupled step.
-    """
-    next32, next64, state = bits.next_uint32, bits.next_uint64, bits.state
-
-    def below(n):
-        if 1 < n <= 1 << 32:
-            m = next32(state) * n
-            if m & 0xFFFF_FFFF < n:
-                threshold = ((1 << 32) - n) % n
-                while m & 0xFFFF_FFFF < threshold:
-                    m = next32(state) * n
-            return m >> 32
-        if n > 1:
-            m = next64(state) * n
-            if m & 0xFFFF_FFFF_FFFF_FFFF < n:
-                threshold = ((1 << 64) - n) % n
-                while m & 0xFFFF_FFFF_FFFF_FFFF < threshold:
-                    m = next64(state) * n
-            return m >> 64
-        if n == 1:
-            return 0
-        raise ValueError(f"cannot draw from range({n})")
-
-    return below, bits.next_double, state
 
 
 def _draw_distinct(below, n: int, k: int) -> list[int]:
@@ -276,29 +251,54 @@ def _urn_step(spec: UrnSpec, draws, x, y):
     return xn, yn
 
 
-def _bind(spec: ModelSpec, rng: np.random.Generator):
-    """(step, spec, draws): ``step(spec, draws, x, y)`` makes one coupled step.
+def _step_body(spec: ModelSpec):
+    """The family's step body ``step(spec, draws, x, y)`` for an expanded spec."""
+    return _urn_step if isinstance(spec, UrnSpec) else _moran_step
 
-    ``step`` is the family's step body, ``spec`` the spec with a standard
-    Moran chain expanded, and ``draws`` those of ``rng``, to be read under
-    its bit generator's lock.
-    """
-    spec = expand_standard(spec)
-    step = _urn_step if isinstance(spec, UrnSpec) else _moran_step
-    return step, spec, _draws(rng.bit_generator.ctypes)
+
+def _valid_pair(spec: ModelSpec, x, y) -> tuple[Composition, Composition]:
+    """(x, y) as states of the expanded ``spec`` with x <= y, else ValidationError."""
+    n, d = spec.N, spec.d
+    x = validate_composition(x, n, d)
+    y = validate_composition(y, n, d)
+    if not partial_leq(x, y):
+        raise ValidationError(f"pair is not ordered: {x} !<= {y}")
+    return x, y
+
+
+# The last successful coupled_step call's (bit generator, its _draws, spec,
+# spec expanded, step body, returned pair), replaced in one assignment.
+_last_coupled = (None, None, None, None, None, None)
 
 
 def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
     """One coupled step of any model spec from the ordered pair ``pair``.
 
     The step run_coupled makes, holding ``rng.bit_generator.lock`` for the
-    step.  Raises CouplingOrderError if the step breaks the order.
+    step.  Raises ValidationError, before any draw, unless both states fit
+    the spec and x <= y, and CouplingOrderError if the step breaks the order.
+    Given back the pair it returned last, with the same spec object, the
+    call trusts it: a step from a valid ordered pair that passed the order
+    check is one.  It reuses the draws bound for the same bit generator.
     """
-    step, spec, draws = _bind(spec, rng)
-    with rng.bit_generator.lock:
-        x, y = step(spec, draws, *pair)
+    global _last_coupled
+    bits = rng.bit_generator
+    last_bits, draws, last_spec, expanded, step, last_pair = _last_coupled
+    if bits is not last_bits:
+        draws = _draws(bits.ctypes)
+    if spec is not last_spec:
+        expanded = expand_standard(spec)
+        step = _step_body(expanded)
+    if pair is last_pair and spec is last_spec:
+        x, y = pair
+    else:
+        x, y = _valid_pair(expanded, *pair)
+    with bits.lock:
+        x, y = step(expanded, draws, x, y)
     _check_order(x, y)
-    return _new_pair(CoupledPair, (tuple(x), tuple(y)))
+    out = _new_pair(CoupledPair, (tuple(x), tuple(y)))
+    _last_coupled = (bits, draws, spec, expanded, step, out)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -323,16 +323,12 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     chains share every subsequent draw, so equality persists.
     """
     spec = expand_standard(spec)
-    n, d = spec.N, spec.d
     max_steps = as_integer(max_steps, "max_steps")
     kept = max_steps if keep_steps is None else as_integer(keep_steps, "keep_steps")
     if max_steps < 0 or kept < 0:
         raise ValidationError(
             f"max_steps and keep_steps must be >= 0, got {max_steps} and {keep_steps}")
-    x0 = validate_composition(x0, n, d)
-    y0 = validate_composition(y0, n, d)
-    if not partial_leq(x0, y0):
-        raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
+    x0, y0 = _valid_pair(spec, x0, y0)
     if isinstance(spec, MoranGeneral) and not mutation_conditions(spec.M).any_holds:
         raise ValidationError(
             "coupled Moran steps need a mutation matrix satisfying a "
@@ -342,7 +338,7 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     trajectory = [CoupledPair(x0, y0)]
     if x0 == y0:
         return trajectory, 0
-    step, spec, draws = _bind(spec, rng)
+    step, draws = _step_body(spec), _draws(rng.bit_generator.ctypes)
     x, y = x0, y0
     with rng.bit_generator.lock:
         for t in range(1, max_steps + 1):

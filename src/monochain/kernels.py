@@ -23,6 +23,13 @@ suite against brute-force enumeration of the ordered draw sequences.
 ``sample_step`` draws one transition generatively.  Every categorical decision
 consumes exactly one uniform and inverts the CDF in index order, resolving
 boundary ties to the lower index, so runs are reproducible given a seed.
+The uniforms come straight off the bit generator, through the draws
+``_draws`` binds from ``rng.bit_generator.ctypes`` (the coupler's too), and
+are read under ``rng.bit_generator.lock``, as a Generator method reads its
+own; no Generator method is called under it, since in some numpy versions
+the lock is not reentrant.  The sampler keeps the bit generator and output of
+its last call: a chain that passes back each state it was given, with one
+spec and one generator, binds the draws once and validates only its start.
 """
 from __future__ import annotations
 
@@ -625,6 +632,43 @@ def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
 # Generative sampling
 # ---------------------------------------------------------------------------
 
+def _draws(bits):
+    """(below, next_double, state): the draws of ``bits``, ``rng.bit_generator.ctypes``.
+
+    The functions and state of ``bits`` are bound once.
+    ``next_double(state)`` is ``rng.random()``.  ``below(n)`` is one draw
+    from range(n), ``rng.integers(0, n)``: Lemire's multiply-and-shift
+    rejection (Lemire 2019), as numpy's Generator makes it, with 32-bit words
+    while n <= 2^32, 64-bit words beyond, and no draw at n = 1.  Values and
+    the generator's state afterwards equal those of the Generator methods;
+    ``below`` also raises ValueError on an empty range.  Masks and shifts are
+    literals, since ``below`` is the hottest call of a coupled step.  The
+    ctypes pointers do not keep the bit generator alive: its holder must.
+    """
+    next32, next64, state = bits.next_uint32, bits.next_uint64, bits.state
+
+    def below(n):
+        if 1 < n <= 1 << 32:
+            m = next32(state) * n
+            if m & 0xFFFF_FFFF < n:
+                threshold = ((1 << 32) - n) % n
+                while m & 0xFFFF_FFFF < threshold:
+                    m = next32(state) * n
+            return m >> 32
+        if n > 1:
+            m = next64(state) * n
+            if m & 0xFFFF_FFFF_FFFF_FFFF < n:
+                threshold = ((1 << 64) - n) % n
+                while m & 0xFFFF_FFFF_FFFF_FFFF < threshold:
+                    m = next64(state) * n
+            return m >> 64
+        if n == 1:
+            return 0
+        raise ValueError(f"cannot draw from range({n})")
+
+    return below, bits.next_double, state
+
+
 def pick_index(v: float, weights) -> int:
     """CDF inversion in index order: smallest i with v <= cumsum(weights)[i].
 
@@ -643,13 +687,13 @@ def pick_index(v: float, weights) -> int:
     return last
 
 
-def _remove_counts(rng, counts, s: int, out: list[int]) -> None:
+def _remove_counts(next_double, state, counts, s: int, out: list[int]) -> None:
     """Take a uniform s-subset of the balls in ``counts`` out of the count list ``out``.
 
-    The subset is drawn urn by urn: each urn with a choice inverts one uniform
-    through its conditional hypergeometric law in index order, as pick_index
-    does, forming each weight only when the running sum reaches it.
-    ``counts`` may be ``out`` itself.
+    The subset is drawn urn by urn: each urn with a choice inverts one uniform,
+    ``next_double(state)``, through its conditional hypergeometric law in index
+    order, as pick_index does, forming each weight only when the running sum
+    reaches it.  ``counts`` may be ``out`` itself.
     """
     remaining = sum(counts)
     need = s
@@ -661,7 +705,7 @@ def _remove_counts(rng, counts, s: int, out: list[int]) -> None:
         hi = min(need, xi)
         if k < hi:
             denom = math.comb(remaining, need)
-            v = rng.random()
+            v = next_double(state)
             cum = 0.0
             while k < hi:
                 cum += math.comb(xi, k) * math.comb(rest, need - k) / denom
@@ -673,55 +717,72 @@ def _remove_counts(rng, counts, s: int, out: list[int]) -> None:
         remaining -= xi
 
 
-def _add_counts(rng, spec: UrnSpec, counts, n_balls: int, out: list[int]) -> None:
+def _add_counts(next_double, state, spec: UrnSpec, counts, n_balls: int,
+                out: list[int]) -> None:
     """The spec's s sequential additions, drawn with ``counts`` (n_balls balls) in the urns.
 
-    Each draw adds the spec's increment to the weight it picks; the added
-    balls go into the count list ``out``.  Draws that add nothing all read
-    the spec's own weights.
+    Each draw reads one uniform, ``next_double(state)``, and adds the spec's
+    increment to the weight it picks; the added balls go into the count list
+    ``out``.  Draws that add nothing all read the spec's own weights.
     """
     if not spec.reinforced:
         cum, total = spec.cum_weights, spec.weight_total
         for _ in range(spec.s):
-            out[bisect_left(cum, rng.random() * total)] += 1
+            out[bisect_left(cum, next_double(state) * total)] += 1
         return
     w, total = spec.add_weights(counts, n_balls)
     inc = spec.inc
     for _ in range(spec.s):
-        i = pick_index(rng.random() * total, w)
+        i = pick_index(next_double(state) * total, w)
         w[i] += inc
         out[i] += 1
         total += inc
+
+
+# The last successful sample_step call's (bit generator, its _draws, spec,
+# spec expanded, returned state), replaced in one assignment.
+_last_sample = (None, None, None, None, None)
 
 
 def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Composition:
     """Draw one transition from the model's kernel at x.
 
     Deterministic given the generator state; distributed per the matching
-    exact row.
+    exact row.  The uniforms are read off the bit generator,
+    ``next_double(state)`` under ``rng.bit_generator.lock``: the values and
+    end state of ``rng.random()``.  The call keeps its generator's draws and
+    its output: given the same bit generator again it reuses the draws, and
+    given back the state it returned, with the same spec object, it skips
+    validation, since a step from a valid state is valid.
     """
-    spec = expand_standard(spec)
-    N, d = spec.N, spec.d
-    x = validate_composition(x, N, d)
+    global _last_sample
+    bits = rng.bit_generator
+    last_bits, draws, last_spec, expanded, last_out = _last_sample
+    if bits is not last_bits:
+        draws = _draws(bits.ctypes)
+    if spec is not last_spec:
+        expanded = expand_standard(spec)
+    N = expanded.N
+    if x is not last_out or spec is not last_spec:
+        x = validate_composition(x, N, expanded.d)
+    _, next_double, state = draws
 
-    if isinstance(spec, MoranGeneral):
-        death = pick_index(rng.random() * N, x)
-        parent = pick_index(rng.random() * N, x)
-        offspring = bisect_left(spec.M.cum_rows[parent], rng.random())
-        out = list(x)
-        out[offspring] += 1
-        out[death] -= 1
-        return tuple(out)
-
-    s = spec.s
     out = list(x)
-    if spec.order == "updown":
-        _add_counts(rng, spec, x, N, out)
-        _remove_counts(rng, out, s, out)
-    else:
-        _remove_counts(rng, x, s, out)
-        if spec.order == "level":
-            _add_counts(rng, spec, x, N, out)
+    with bits.lock:
+        if isinstance(expanded, MoranGeneral):
+            death = pick_index(next_double(state) * N, x)
+            parent = pick_index(next_double(state) * N, x)
+            out[bisect_left(expanded.M.cum_rows[parent], next_double(state))] += 1
+            out[death] -= 1
+        elif expanded.order == "updown":
+            _add_counts(next_double, state, expanded, x, N, out)
+            _remove_counts(next_double, state, out, expanded.s, out)
         else:
-            _add_counts(rng, spec, out, N - s, out)
-    return tuple(out)
+            _remove_counts(next_double, state, x, expanded.s, out)
+            if expanded.order == "level":
+                _add_counts(next_double, state, expanded, x, N, out)
+            else:
+                _add_counts(next_double, state, expanded, out, N - expanded.s, out)
+    out = tuple(out)
+    _last_sample = (bits, draws, spec, expanded, out)
+    return out

@@ -90,3 +90,14 @@ def random_ordered_pair(rng, n: int, d: int):
             x[i] -= drop
             x[d - 1] += drop
     return tuple(x), y
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64, np.random.PCG64DXSM]
+
+
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state

@@ -10,10 +10,13 @@ closed form with the package's power iteration; for kernels with no closed
 form the package runs the same solve.  The Perron oracle is the reduced
 matrix's power iteration as first written, on numpy arrays throughout, and
 the scalar Moran row is the one-state row builder as first written.  The
-coupled urn additions draw through Generator methods, not the bit stream.
+coupled urn additions, and the reference sampler, draw through Generator
+methods, not the bit stream.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -28,6 +31,7 @@ from monochain import (
     TransitionRow,
     ValidationError,
     dominated_pick,
+    expand_standard,
     validate_composition,
 )
 from monochain.kernels import pick_index
@@ -84,6 +88,76 @@ def coupled_adds(spec, cx, cy, n_balls, out1, out2, rng, added=None) -> None:
         if added is not None:
             added.append((i1, i2))
         total += 1.0
+
+
+def _remove_counts_reference(rng, counts, s: int, out: list[int]) -> None:
+    """A uniform s-subset of the balls in counts taken out of out, urn by urn, one rng.random() per choice."""
+    remaining = sum(counts)
+    need = s
+    for i, xi in enumerate(counts):
+        if need == 0:
+            break
+        rest = remaining - xi
+        k = max(0, need - rest)
+        hi = min(need, xi)
+        if k < hi:
+            denom = math.comb(remaining, need)
+            v = rng.random()
+            cum = 0.0
+            while k < hi:
+                cum += math.comb(xi, k) * math.comb(rest, need - k) / denom
+                if v <= cum:
+                    break
+                k += 1
+        out[i] -= k
+        need -= k
+        remaining -= xi
+
+
+def _add_counts_reference(rng, spec, counts, n_balls: int, out: list[int]) -> None:
+    """The spec's s sequential additions into out, one rng.random() each."""
+    if not spec.reinforced:
+        cum, total = spec.cum_weights, spec.weight_total
+        for _ in range(spec.s):
+            out[bisect_left(cum, rng.random() * total)] += 1
+        return
+    w, total = spec.add_weights(counts, n_balls)
+    inc = spec.inc
+    for _ in range(spec.s):
+        i = pick_index(rng.random() * total, w)
+        w[i] += inc
+        out[i] += 1
+        total += inc
+
+
+def sample_step_reference(spec, x, rng):
+    """The sampler as it read its uniforms through ``rng.random()``: one step from x.
+
+    Validates x on every call and keeps nothing between calls.
+    """
+    spec = expand_standard(spec)
+    N, d = spec.N, spec.d
+    x = validate_composition(x, N, d)
+    if isinstance(spec, MoranGeneral):
+        death = pick_index(rng.random() * N, x)
+        parent = pick_index(rng.random() * N, x)
+        offspring = bisect_left(spec.M.cum_rows[parent], rng.random())
+        out = list(x)
+        out[offspring] += 1
+        out[death] -= 1
+        return tuple(out)
+    s = spec.s
+    out = list(x)
+    if spec.order == "updown":
+        _add_counts_reference(rng, spec, x, N, out)
+        _remove_counts_reference(rng, out, s, out)
+    else:
+        _remove_counts_reference(rng, x, s, out)
+        if spec.order == "level":
+            _add_counts_reference(rng, spec, x, N, out)
+        else:
+            _add_counts_reference(rng, spec, out, N - s, out)
+    return tuple(out)
 
 
 def _mark_prob(n_balls: int, s: int) -> Fraction:

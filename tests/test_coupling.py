@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -33,7 +34,9 @@ from monochain.coupling import (
 )
 from monochain.kernels import pick_index
 from helpers import (
+    BIT_GENERATORS,
     delta_construction_matrix,
+    plain_state,
     random_dominated_matrix,
     random_ordered_pair,
     random_prob_vector,
@@ -310,9 +313,11 @@ def test_a_broken_order_raises_and_frees_the_generator(spec, monkeypatch):
     assert_free()
     coupled_step(spec, CoupledPair(x0, y0), rng)
     assert_free()
-    # A swapped pair breaks the order in the step itself.
-    with pytest.raises(CouplingOrderError):
+    # A swapped pair is refused before the lock is taken, without a draw.
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError):
         coupled_step(spec, CoupledPair(y0, x0), rng)
+    assert rng.bit_generator.state == before
     assert_free()
 
     def broken(x, y):
@@ -519,8 +524,6 @@ def test_sparse_draw_distinct_matches_dense_fisher_yates():
 # Draws read off the bit generator equal the Generator methods
 # ---------------------------------------------------------------------------
 
-BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
-                  np.random.SFC64, np.random.PCG64DXSM]
 EDGE_BOUNDS = [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1]
 
 
@@ -545,14 +548,7 @@ def test_bit_stream_draws_match_the_generator_methods(bit_generator):
         twin.integers(0, 0)
     with pytest.raises(ValueError):
         below(0)
-    assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
-
-
-def _plain(state):
-    """A bit generator's state with its arrays as lists, comparable with ==."""
-    if isinstance(state, dict):
-        return {key: _plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
+    assert plain_state(rng.bit_generator.state) == plain_state(twin.bit_generator.state)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: type(spec).__name__)
@@ -570,3 +566,105 @@ def test_coupled_step_waits_for_the_generator_lock(spec):
     worker.join(timeout=10)
     assert done == [coupled_step(spec, pair, twin)]
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# coupled_step validates its pair, and trusts only the pair it returned last
+# ---------------------------------------------------------------------------
+
+NINE_BALLS = CoupledPair((0, 0, 9), (4, 3, 2))
+
+
+@pytest.mark.parametrize("spec, pair", [
+    (Ehrenfest(8, 2, (0.3, 0.3, 0.4)), NINE_BALLS),
+    (PolyaLevel(8, 2, (1.5, 2.0, 1.0)), NINE_BALLS),
+    (PolyaUpDown(8, 2, (1.5, 2.0, 1.0)), NINE_BALLS),
+    (MORAN, NINE_BALLS),
+    (FAMILIES[1], CoupledPair((0, 0, 0, 8), (2, 2, 2, 2))),
+    (FAMILIES[3], CoupledPair((3, 3, 2), (0, 2, 6))),
+    (FAMILIES[4], CoupledPair((0, 0, 8), (3, True, 4))),
+    (MORAN, CoupledPair((0, 2.0, 6), (3, 3, 2))),
+], ids=["ehrenfest-9", "level-9", "updown-9", "moran-9", "d4-on-d3", "swapped",
+        "bool", "float"])
+def test_coupled_step_refuses_a_bad_pair_without_a_draw(spec, pair):
+    rng = np.random.default_rng(80)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        coupled_step(spec, pair, rng)
+    assert rng.bit_generator.state == before
+    assert rng.bit_generator.lock.acquire(blocking=False)
+    rng.bit_generator.lock.release()
+
+
+def test_coupled_step_takes_numpy_integers_and_returns_ints():
+    x, y = (np.int64(0), np.int32(2), np.int64(6)), np.array([3, 3, 2])
+    for spec in FAMILIES:
+        got = coupled_step(spec, CoupledPair(x, y), np.random.default_rng(81))
+        assert got == coupled_step(spec, CoupledPair((0, 2, 6), (3, 3, 2)),
+                                   np.random.default_rng(81))
+        assert all(type(c) is int for c in got.x + got.y)
+
+
+def test_coupled_step_record_alternating_generators_and_specs():
+    # Chains that share the one-slot record, call by call in a random order,
+    # make the same pairs and leave their generators in the same states as
+    # each chain run alone.
+    specs = [FAMILIES[0], FAMILIES[2], FAMILIES[0], FAMILIES[4]]
+    start = CoupledPair((0, 2, 6), (3, 3, 2))
+    alone = []
+    for seed, spec in enumerate(specs):
+        rng, pair, pairs = np.random.default_rng(seed), start, []
+        for _ in range(300):
+            pair = coupled_step(spec, pair, rng)
+            pairs.append(pair)
+        alone.append((pairs, rng.bit_generator.state))
+    rngs = [np.random.default_rng(seed) for seed in range(len(specs))]
+    pairs = [start] * len(specs)
+    got = [[] for _ in specs]
+    order = np.random.default_rng(82).permutation(np.repeat(np.arange(len(specs)), 300))
+    for k in order.tolist():
+        pairs[k] = coupled_step(specs[k], pairs[k], rngs[k])
+        got[k].append(pairs[k])
+    assert [(g, r.bit_generator.state) for g, r in zip(got, rngs)] == alone
+
+
+@pytest.mark.parametrize("other", [
+    PolyaDownUp(9, 2, (1.5, 2.0, 1.0)),
+    PolyaDownUp(8, 2, (1.5, 2.0, 1.0, 1.0)),
+    MoranGeneral(9, delta_construction_matrix(0.05)),
+], ids=["N", "d", "moran-N"])
+def test_coupled_step_record_is_kept_per_spec(other):
+    # The pair returned under one spec is not trusted under another.
+    rng = np.random.default_rng(83)
+    pair = coupled_step(FAMILIES[3], CoupledPair((0, 2, 6), (3, 3, 2)), rng)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        coupled_step(other, pair, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_coupled_step_record_trusts_only_its_own_pair(monkeypatch):
+    calls = []
+    real = coupling._valid_pair
+    monkeypatch.setattr(coupling, "_valid_pair",
+                        lambda spec, x, y: calls.append(1) or real(spec, x, y))
+    spec, rng = FAMILIES[1], np.random.default_rng(84)
+    pair = coupled_step(spec, CoupledPair((0, 2, 6), (3, 3, 2)), rng)
+    assert len(calls) == 1
+    pair = coupled_step(spec, pair, rng)
+    assert len(calls) == 1
+    for copy in (CoupledPair(*pair), tuple(pair), [list(pair.x), list(pair.y)]):
+        coupled_step(spec, copy, np.random.default_rng(85))
+    assert len(calls) == 4
+
+
+def test_coupled_step_record_frees_the_last_generator():
+    # numpy generators take no weak references, so the count of references
+    # shows whether the record still holds the first one.
+    first, second = np.random.default_rng(86), np.random.default_rng(87)
+    bits = first.bit_generator
+    baseline = sys.getrefcount(bits)
+    pair = coupled_step(FAMILIES[0], CoupledPair((0, 2, 6), (3, 3, 2)), first)
+    assert sys.getrefcount(bits) > baseline
+    coupled_step(FAMILIES[0], pair, second)
+    assert sys.getrefcount(bits) == baseline

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
@@ -22,15 +24,23 @@ from monochain import (
     spec_to_json,
     transition_row,
 )
+from monochain import kernels
 from monochain.kernels import _step_vectors, kernel_rows, pick_index, transition_prob
 from monochain.statespace import compositions
 from helpers import (
+    BIT_GENERATORS,
+    plain_state,
     random_dominated_matrix,
     random_positive_matrix,
     random_prob_vector,
     random_state,
 )
-from oracles import ehrenfest_row_oracle, moran_row_oracle, polya_row_oracle
+from oracles import (
+    ehrenfest_row_oracle,
+    moran_row_oracle,
+    polya_row_oracle,
+    sample_step_reference,
+)
 
 M2 = MutationMatrix([[0.9, 0.1], [0.2, 0.8]])
 
@@ -243,6 +253,117 @@ def test_sample_step_deterministic_given_seed():
     out1 = [sample_step(spec, x, np.random.default_rng(11)) for _ in range(5)]
     out2 = [sample_step(spec, x, np.random.default_rng(11)) for _ in range(5)]
     assert out1 == out2
+
+
+SAMPLED = [
+    MoranGeneral(12, random_dominated_matrix(np.random.default_rng(5), 4)),
+    MoranStandard(12, 0.6, (0.3, 0.2, 0.1, 0.4)),
+    PolyaLevel(12, 3, (1.5, 2.0, 1.0, 0.5)),
+    PolyaUpDown(12, 3, (1.5, 2.0, 1.0, 0.5)),
+    PolyaDownUp(12, 3, (1.5, 2.0, 1.0, 0.5)),
+    Ehrenfest(12, 3, (0.3, 0.2, 0.1, 0.4)),
+]
+SAMPLED_IDS = ["moran_general", "moran_standard", "polya_level", "polya_updown",
+               "polya_downup", "ehrenfest"]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_sample_step_draws_match_the_generator_reference(bit_generator):
+    # The sampler reads its uniforms off the bit stream; the reference reads
+    # them through rng.random().  Same states, same generator state after.
+    for seed, spec in enumerate(SAMPLED):
+        rng = np.random.Generator(bit_generator(seed))
+        twin = np.random.Generator(bit_generator(seed))
+        x = ref = (0, 3, 4, 5)
+        for _ in range(2_000):
+            x = sample_step(spec, x, rng)
+            ref = sample_step_reference(spec, ref, twin)
+            assert x == ref, spec
+        assert plain_state(rng.bit_generator.state) == plain_state(twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("spec", SAMPLED, ids=SAMPLED_IDS)
+def test_sample_step_waits_for_the_generator_lock(spec):
+    # A Generator method holds its bit generator's lock while it draws; the
+    # sampler takes the same lock, so it waits while another holder has it.
+    x = (0, 3, 4, 5)
+    rng, twin = np.random.default_rng(79), np.random.default_rng(79)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(sample_step(spec, x, rng)))
+    with rng.bit_generator.lock:
+        worker.start()
+        worker.join(timeout=0.1)
+        assert worker.is_alive() and not done
+    worker.join(timeout=10)
+    assert done == [sample_step(spec, x, twin)]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.bit_generator.lock.acquire(blocking=False)
+    rng.bit_generator.lock.release()
+
+
+def test_sample_step_record_alternating_generators_and_specs():
+    # Chains that share the one-slot record, call by call in a random order,
+    # reach the same states and leave their generators in the same states as
+    # each chain run alone.
+    specs = [SAMPLED[0], SAMPLED[3], SAMPLED[0], SAMPLED[5]]
+    start = (0, 3, 4, 5)
+    alone = []
+    for seed, spec in enumerate(specs):
+        rng, x, states = np.random.default_rng(seed), start, []
+        for _ in range(300):
+            x = sample_step(spec, x, rng)
+            states.append(x)
+        alone.append((states, rng.bit_generator.state))
+    rngs = [np.random.default_rng(seed) for seed in range(len(specs))]
+    xs = [start] * len(specs)
+    got = [[] for _ in specs]
+    order = np.random.default_rng(82).permutation(np.repeat(np.arange(len(specs)), 300))
+    for k in order.tolist():
+        xs[k] = sample_step(specs[k], xs[k], rngs[k])
+        got[k].append(xs[k])
+    assert [(g, r.bit_generator.state) for g, r in zip(got, rngs)] == alone
+
+
+@pytest.mark.parametrize("other", [
+    PolyaDownUp(13, 3, (1.5, 2.0, 1.0, 0.5)),
+    PolyaDownUp(12, 3, (1.5, 2.0, 1.0)),
+    MoranStandard(11, 0.6, (0.3, 0.2, 0.1, 0.4)),
+], ids=["N", "d", "moran-N"])
+def test_sample_step_record_is_kept_per_spec(other):
+    # The state returned under one spec is not trusted under another.
+    rng = np.random.default_rng(83)
+    x = sample_step(SAMPLED[4], (0, 3, 4, 5), rng)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError):
+        sample_step(other, x, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_sample_step_record_trusts_only_its_own_state(monkeypatch):
+    calls = []
+    real = kernels.validate_composition
+    monkeypatch.setattr(kernels, "validate_composition",
+                        lambda x, n, d: calls.append(1) or real(x, n, d))
+    spec, rng = SAMPLED[2], np.random.default_rng(84)
+    x = sample_step(spec, (0, 3, 4, 5), rng)
+    assert len(calls) == 1
+    x = sample_step(spec, x, rng)
+    assert len(calls) == 1
+    for copy in (tuple(list(x)), list(x)):
+        sample_step(spec, copy, np.random.default_rng(85))
+    assert len(calls) == 3
+
+
+def test_sample_step_record_frees_the_last_generator():
+    # numpy generators take no weak references, so the count of references
+    # shows whether the record still holds the first one.
+    first, second = np.random.default_rng(86), np.random.default_rng(87)
+    bits = first.bit_generator
+    baseline = sys.getrefcount(bits)
+    x = sample_step(SAMPLED[0], (0, 3, 4, 5), first)
+    assert sys.getrefcount(bits) > baseline
+    sample_step(SAMPLED[0], x, second)
+    assert sys.getrefcount(bits) == baseline
 
 
 def _empirical_tv(spec, x, n, seed):
