@@ -55,7 +55,6 @@ from .kernels import (
     PolyaUpDown,
     TransitionRow,
     UrnSpec,
-    expand_standard,
     sample_step,
     spec_from_json,
     spec_to_json,

@@ -39,11 +39,9 @@ from .errors import (
 )
 from .kernels import (
     ModelSpec,
-    MoranGeneral,
-    MoranStandard,
+    UrnSpec,
     as_integer,
     as_real,
-    expand_standard,
     spec_from_json,
     transition_prob,
 )
@@ -212,16 +210,10 @@ def cmd_exact(cfg: RunConfig) -> int:
 def cmd_couple(cfg: RunConfig) -> int:
     if cfg.start_upper is None:
         raise ValidationError("couple needs 'start_upper' (the dominating start state)")
-    x0, y0 = cfg.start, cfg.start_upper
+    spec, x0, y0 = cfg.spec, cfg.start, cfg.start_upper
     if not partial_leq(x0, y0):
         raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
-    spec = expand_standard(cfg.spec)
-    # General Moran eigendata reuses the Perron run of the coupler's condition check.
-    if isinstance(cfg.spec, MoranGeneral):
-        report = coupling.mutation_conditions(spec.M)
-        ed = spectral.eigenfunction_from_report(spec.M, spec.N, report)
-    else:
-        ed = spectral.model_eigendata(cfg.spec)
+    ed = spectral.model_eigendata(spec)
 
     streams = [np.random.default_rng(s) for s in
                np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)]
@@ -295,17 +287,14 @@ def _empirical_tv(spec: ModelSpec, x: Composition, samples) -> float:
 
 
 def cmd_spectral(cfg: RunConfig) -> int:
-    if not isinstance(cfg.spec, (MoranGeneral, MoranStandard)):
+    if isinstance(cfg.spec, UrnSpec):
         raise ValidationError("spectral report targets the Moran chains")
-    expanded = expand_standard(cfg.spec)
-    report = spectral.classify_conditions(expanded.M)
+    report = spectral.classify_conditions(cfg.spec.M)
     if not report.any_holds:
         raise NoMonotoneConditionError(
             "mutation matrix fails the dominated-last-row monotonicity conditions"
         )
-    # General Moran eigendata reuses the report's Perron run; standard Moran's is closed-form.
-    ed = (spectral.eigenfunction_from_report(expanded.M, expanded.N, report)
-          if isinstance(cfg.spec, MoranGeneral) else spectral.model_eigendata(cfg.spec))
+    ed = spectral.model_eigendata(cfg.spec)
     doc = ed.to_json_dict()
     doc["conditions"] = {
         "strict_domination": report.c1_holds,

@@ -54,22 +54,13 @@ holds at most one generator alive.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CouplingOrderError, ValidationError
-from .kernels import (
-    ModelSpec,
-    MoranGeneral,
-    MutationMatrix,
-    UrnSpec,
-    _draws,
-    as_integer,
-    expand_standard,
-)
-from .spectral import ConditionReport, classify_conditions
+from .kernels import ModelSpec, UrnSpec, _draws, as_integer
+from .spectral import classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
 
 
@@ -157,7 +148,7 @@ def _species(x, y, cut: int, lbl: int) -> tuple[int, int]:
     return len(x) - 1, sp
 
 
-def _moran_step(spec: MoranGeneral, draws, x, y):
+def _moran_step(spec: ModelSpec, draws, x, y):
     """One coupled Moran step (x, y) -> (x', y'), as count lists, reading ``draws``.
 
     Shared death and parent labels, shared mutation uniform.  Requires a
@@ -252,23 +243,32 @@ def _urn_step(spec: UrnSpec, draws, x, y):
 
 
 def _step_body(spec: ModelSpec):
-    """The family's step body ``step(spec, draws, x, y)`` for an expanded spec."""
+    """The family's step body ``step(spec, draws, x, y)``."""
     return _urn_step if isinstance(spec, UrnSpec) else _moran_step
 
 
 def _valid_pair(spec: ModelSpec, x, y) -> tuple[Composition, Composition]:
-    """(x, y) as states of the expanded ``spec`` with x <= y, else ValidationError."""
+    """(x, y) as states of ``spec`` with x <= y, else ValidationError.
+
+    A Moran spec's mutation matrix must meet a dominated-last-row condition,
+    or the rearranged mutation intervals are invalid (checked once per matrix).
+    """
     n, d = spec.N, spec.d
     x = validate_composition(x, n, d)
     y = validate_composition(y, n, d)
     if not partial_leq(x, y):
         raise ValidationError(f"pair is not ordered: {x} !<= {y}")
+    if not isinstance(spec, UrnSpec) and not classify_conditions(spec.M).any_holds:
+        raise ValidationError(
+            "coupled Moran steps need a mutation matrix satisfying a "
+            "dominated-last-row monotonicity condition"
+        )
     return x, y
 
 
 # The last successful coupled_step call's (bit generator, its _draws, spec,
-# spec expanded, step body, returned pair), replaced in one assignment.
-_last_coupled = (None, None, None, None, None, None)
+# step body, returned pair), replaced in one assignment.
+_last_coupled = (None, None, None, None, None)
 
 
 def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -> CoupledPair:
@@ -276,40 +276,30 @@ def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -
 
     The step run_coupled makes, holding ``rng.bit_generator.lock`` for the
     step.  Raises ValidationError, before any draw, unless both states fit
-    the spec and x <= y, and CouplingOrderError if the step breaks the order.
+    the spec and x <= y and a Moran spec's mutation matrix meets a
+    monotonicity condition, and CouplingOrderError if the step breaks the
+    order.
     Given back the pair it returned last, with the same spec object, the
     call trusts it: a step from a valid ordered pair that passed the order
     check is one.  It reuses the draws bound for the same bit generator.
     """
     global _last_coupled
     bits = rng.bit_generator
-    last_bits, draws, last_spec, expanded, step, last_pair = _last_coupled
+    last_bits, draws, last_spec, step, last_pair = _last_coupled
     if bits is not last_bits:
         draws = _draws(bits.ctypes)
     if spec is not last_spec:
-        expanded = expand_standard(spec)
-        step = _step_body(expanded)
+        step = _step_body(spec)
     if pair is last_pair and spec is last_spec:
         x, y = pair
     else:
-        x, y = _valid_pair(expanded, *pair)
+        x, y = _valid_pair(spec, *pair)
     with bits.lock:
-        x, y = step(expanded, draws, x, y)
+        x, y = step(spec, draws, x, y)
     _check_order(x, y)
     out = _new_pair(CoupledPair, (tuple(x), tuple(y)))
-    _last_coupled = (bits, draws, spec, expanded, step, out)
+    _last_coupled = (bits, draws, spec, step, out)
     return out
-
-
-@lru_cache(maxsize=8)
-def mutation_conditions(M: MutationMatrix) -> ConditionReport:
-    """classify_conditions(M), made once per matrix.
-
-    A mutation matrix is immutable and hashed by identity, so the replicates
-    of one run, and the eigendata of a ``couple`` command, share a single
-    check and its Perron run.
-    """
-    return classify_conditions(M)
 
 
 def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
@@ -322,18 +312,12 @@ def run_coupled(spec: ModelSpec, x0: Composition, y0: Composition,
     coincide, or None if they never do within max_steps.  Once equal the
     chains share every subsequent draw, so equality persists.
     """
-    spec = expand_standard(spec)
     max_steps = as_integer(max_steps, "max_steps")
     kept = max_steps if keep_steps is None else as_integer(keep_steps, "keep_steps")
     if max_steps < 0 or kept < 0:
         raise ValidationError(
             f"max_steps and keep_steps must be >= 0, got {max_steps} and {keep_steps}")
     x0, y0 = _valid_pair(spec, x0, y0)
-    if isinstance(spec, MoranGeneral) and not mutation_conditions(spec.M).any_holds:
-        raise ValidationError(
-            "coupled Moran steps need a mutation matrix satisfying a "
-            "dominated-last-row monotonicity condition"
-        )
 
     trajectory = [CoupledPair(x0, y0)]
     if x0 == y0:

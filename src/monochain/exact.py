@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import stationary_log_pmfs
 from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MoranStandard, expand_standard, kernel_rows
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, kernel_rows
 from .statespace import (
     DEFAULT_STATE_CAP,
     Composition,
@@ -87,12 +87,11 @@ def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> Transi
     """
     import scipy.sparse as sp
 
-    expanded = expand_standard(spec)
-    array = state_array(expanded.N, expanded.d, cap=cap)
+    array = state_array(spec.N, spec.d, cap=cap)
     lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
-    for n, succ, probs in kernel_rows(expanded, array):
+    for n, succ, probs in kernel_rows(spec, array):
         lengths.append(n)
-        cols.append(ranks(succ, expanded.N))
+        cols.append(ranks(succ, spec.N))
         data.append(probs)
     csr = sp.csr_matrix(
         (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),

@@ -167,12 +167,16 @@ class MoranGeneral:
 
 @dataclass(frozen=True)
 class MoranStandard:
-    """Moran chain with mutation matrix (1-m) I + m P, every row of P equal to p."""
+    """Moran chain with mutation matrix M = (1-m) I + m P, every row of P equal to p.
+
+    M is built once and read like a general spec's; it takes no part in
+    equality or the repr.
+    """
 
     N: int
     m: float
     p: tuple[float, ...]
-    _expanded: MoranGeneral = field(init=False, repr=False, compare=False)
+    M: MutationMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_sizes(self, "N")
@@ -182,14 +186,11 @@ class MoranStandard:
         p = _validate_prob_vector(self.p, "p")
         object.__setattr__(self, "p", p)
         mat = (1.0 - self.m) * np.eye(len(p)) + self.m * np.tile(p, (len(p), 1))
-        object.__setattr__(self, "_expanded", MoranGeneral(self.N, MutationMatrix(mat)))
+        object.__setattr__(self, "M", MutationMatrix(mat))
 
     @property
     def d(self) -> int:
         return len(self.p)
-
-    def expand(self) -> MoranGeneral:
-        return self._expanded
 
 
 # JSON tag of each urn family by (order, reinforced).
@@ -280,13 +281,6 @@ def Ehrenfest(N: int, s: int, p) -> UrnSpec:
 
 
 ModelSpec = Union[MoranGeneral, MoranStandard, UrnSpec]
-
-
-def expand_standard(spec: ModelSpec) -> ModelSpec:
-    """Replace a MoranStandard spec by its MoranGeneral expansion; pass others through."""
-    if isinstance(spec, MoranStandard):
-        return spec.expand()
-    return spec
 
 
 def spec_to_json(spec: ModelSpec) -> dict:
@@ -395,7 +389,7 @@ def _moran_offsets(d: int) -> np.ndarray:
                            np.zeros((1, d), dtype=np.int64)])
 
 
-def _moran_paths(spec: MoranGeneral, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _moran_paths(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Moran paths from each state with their probabilities, as transition_prob sums them.
 
     Returns (row, path, prob) over the paths with positive probability,
@@ -537,12 +531,11 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
     ValidationError when an entry is not > 0 or a row does not sum to 1
     within 1e-10.
     """
-    spec = expand_standard(spec)
-    if isinstance(spec, MoranGeneral):
-        offsets, paths = _moran_offsets(spec.d), partial(_moran_paths, spec)
-    else:
+    if isinstance(spec, UrnSpec):
         comps = _step_vectors(spec.s, spec.d)
         offsets, paths = _urn_offsets(spec, comps), partial(_urn_paths, spec, comps=comps)
+    else:
+        offsets, paths = _moran_offsets(spec.d), partial(_moran_paths, spec)
     # Paths with equal offsets lead to one successor, whatever the state.
     code = np.unique(offsets, axis=0, return_inverse=True)[1].ravel()
     n_codes = int(code.max()) + 1
@@ -573,11 +566,10 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     those paths only, so it costs one hypergeometric and one addition pmf
     per path, however many successors the row has.
     """
-    spec = expand_standard(spec)
     N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
     z = validate_composition(z, N, d)
-    if isinstance(spec, MoranGeneral):
+    if not isinstance(spec, UrnSpec):
         step = [zi - xi for xi, zi in zip(x, z)]
         # Equal totals: one count up by 1 and one down by 1, or no path leads to z.
         if z != x and sum(map(abs, step)) != 2:
@@ -740,8 +732,8 @@ def _add_counts(next_double, state, spec: UrnSpec, counts, n_balls: int,
 
 
 # The last successful sample_step call's (bit generator, its _draws, spec,
-# spec expanded, returned state), replaced in one assignment.
-_last_sample = (None, None, None, None, None)
+# returned state), replaced in one assignment.
+_last_sample = (None, None, None, None)
 
 
 def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Composition:
@@ -757,32 +749,30 @@ def sample_step(spec: ModelSpec, x: Composition, rng: np.random.Generator) -> Co
     """
     global _last_sample
     bits = rng.bit_generator
-    last_bits, draws, last_spec, expanded, last_out = _last_sample
+    last_bits, draws, last_spec, last_out = _last_sample
     if bits is not last_bits:
         draws = _draws(bits.ctypes)
-    if spec is not last_spec:
-        expanded = expand_standard(spec)
-    N = expanded.N
+    N = spec.N
     if x is not last_out or spec is not last_spec:
-        x = validate_composition(x, N, expanded.d)
+        x = validate_composition(x, N, spec.d)
     _, next_double, state = draws
 
     out = list(x)
     with bits.lock:
-        if isinstance(expanded, MoranGeneral):
+        if not isinstance(spec, UrnSpec):
             death = pick_index(next_double(state) * N, x)
             parent = pick_index(next_double(state) * N, x)
-            out[bisect_left(expanded.M.cum_rows[parent], next_double(state))] += 1
+            out[bisect_left(spec.M.cum_rows[parent], next_double(state))] += 1
             out[death] -= 1
-        elif expanded.order == "updown":
-            _add_counts(next_double, state, expanded, x, N, out)
-            _remove_counts(next_double, state, out, expanded.s, out)
+        elif spec.order == "updown":
+            _add_counts(next_double, state, spec, x, N, out)
+            _remove_counts(next_double, state, out, spec.s, out)
         else:
-            _remove_counts(next_double, state, x, expanded.s, out)
-            if expanded.order == "level":
-                _add_counts(next_double, state, expanded, x, N, out)
+            _remove_counts(next_double, state, x, spec.s, out)
+            if spec.order == "level":
+                _add_counts(next_double, state, spec, x, N, out)
             else:
-                _add_counts(next_double, state, expanded, out, N - expanded.s, out)
+                _add_counts(next_double, state, spec, out, N - spec.s, out)
     out = tuple(out)
-    _last_sample = (bits, draws, spec, expanded, out)
+    _last_sample = (bits, draws, spec, out)
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import le, lt, mul, sub
 
 import numpy as np
@@ -75,8 +76,13 @@ class ConditionReport:
         return self.c1_holds or self.c2_holds or self.c3_holds
 
 
+@lru_cache(maxsize=8)
 def classify_conditions(M: MutationMatrix) -> ConditionReport:
-    """Evaluate the three monotonicity conditions for a mutation matrix."""
+    """Evaluate the three monotonicity conditions for a mutation matrix.
+
+    Reports are kept for the last 8 matrices (immutable, hashed by identity),
+    so a spec's eigendata and its coupled runs share one Perron run.
+    """
     d = M.d
     m = M.matrix
     reduced = m[: d - 1, : d - 1] - m[d - 1, : d - 1][np.newaxis, :]
@@ -172,10 +178,12 @@ class EigenData:
     """Second eigenvalue and strictly monotone linear eigenfunction.
 
     f(x) = sum_{i<d} a_star[i] * x_i + f0 with f0 = N * a_d; c1 is the minimal
-    increment of f along the dominance order and c2 = sup |f|.
+    increment of f along the dominance order and c2 = sup |f|.  gap = 1 - lam
+    from the family's closed form, with the low bits lam drops at large N.
     """
 
     lam: float
+    gap: float
     a_star: tuple[float, ...]
     a_d: float
     c1: float
@@ -220,25 +228,21 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
 
     Requires one of the monotonicity conditions.  Reads the Perron eigenpair
     of the reduced matrix from classify_conditions, so one power iteration
-    serves both, and raises the PerronConvergenceError that run met, if any.
-    Verifies the eigen identity, in increment form, on three probe states
-    before returning.
+    serves both, and raises the PerronConvergenceError that run met, if any,
+    as a fresh exception.  Verifies the eigen identity, in increment form,
+    on three probe states before returning.
     """
-    return eigenfunction_from_report(M, n_total, classify_conditions(M))
-
-
-def eigenfunction_from_report(M: MutationMatrix, n_total: int,
-                              report: ConditionReport) -> EigenData:
-    """build_eigenfunction with classify_conditions(M) already made, as ``report``."""
     if n_total < 1:
         raise ValidationError(f"need N >= 1, got {n_total}")
+    report = classify_conditions(M)
     if not report.any_holds:
         raise NoMonotoneConditionError(
             "mutation matrix fails the dominated-last-row monotonicity conditions "
             "(strict domination / weak + irreducible reduced / weak + positive eigenvector)"
         )
     if report.perron_error is not None:
-        raise report.perron_error
+        # The report is kept: raising its error itself would grow its traceback.
+        raise PerronConvergenceError(*report.perron_error.args)
     lam_star, a_star = report.lam_star, tuple(report.a_star.tolist())
     d = M.d
     a_d = math.fsum(map(mul, M.rows[d - 1][: d - 1], a_star)) / (lam_star - 1.0)
@@ -247,10 +251,14 @@ def eigenfunction_from_report(M: MutationMatrix, n_total: int,
             f"expected a negative shift for the last species, got a_d={a_d}"
         )
     lam = 1.0 - 1.0 / n_total + lam_star / n_total
+    # 1 - lam has lost the low bits of the gap by N ~ 1e7, and f ~ N
+    # multiplies what is lost, so the check reads the gap itself.
+    gap = (1.0 - lam_star) / n_total
     c1 = min(a_star)
     c2 = max(-n_total * a_d, n_total * (max(a_star) + a_d))
     ed = EigenData(
         lam=lam,
+        gap=gap,
         a_star=a_star,
         a_d=a_d,
         c1=c1,
@@ -261,14 +269,11 @@ def eigenfunction_from_report(M: MutationMatrix, n_total: int,
     base, extra = divmod(n_total, d)
     probes = [minimal_element(n_total, d), (n_total,) + (0,) * (d - 1),
               tuple(base + (1 if i < extra else 0) for i in range(d))]
-    # The check reads the gap (1 - lambda*)/N itself: 1 - lam has lost the
-    # low bits of the gap by N ~ 1e7, and f ~ N multiplies what is lost.
-    gap = (1.0 - lam_star) / n_total
-    if not abs(ed.lam - (1.0 - gap)) <= _EIGEN_LAM_TOL:
+    if not abs(ed.lam - (1.0 - ed.gap)) <= _EIGEN_LAM_TOL:
         raise EigenConsistencyError(
-            f"second eigenvalue {ed.lam!r} is not 1 - gap for gap {gap!r}"
+            f"second eigenvalue {ed.lam!r} is not 1 - gap for gap {ed.gap!r}"
         )
-    residual = _moran_residual(M, ed, probes, gap)
+    residual = _moran_residual(M, ed, probes)
     if residual > _EIGEN_ROW_TOL:
         raise EigenConsistencyError(
             f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over {probes}"
@@ -292,7 +297,7 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
 
     N = spec.N
     if isinstance(spec, MoranStandard):
-        lam = 1.0 - spec.m / N
+        gap = spec.m / N
         p_last = spec.p[-1]
     elif isinstance(spec, UrnSpec):
         # base is formed in integers before it meets T, so down-up with
@@ -300,14 +305,15 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
         s, total = spec.s, spec.weight_total
         pool = N + s if spec.order == "updown" else N
         base = N - s if spec.order == "downup" else N
-        lam = 1.0 - (s * total) / (pool * (total + spec.inc * base))
+        gap = (s * total) / (pool * (total + spec.inc * base))
         p_last = spec.weights[-1] / total
     else:
         raise ValidationError(f"unsupported model spec {type(spec).__name__}")
 
     a_d = -(1.0 - p_last)
     return EigenData(
-        lam=lam,
+        lam=1.0 - gap,
+        gap=gap,
         a_star=(1.0,) * (spec.d - 1),
         a_d=a_d,
         c1=1.0,
@@ -318,28 +324,27 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
 
 
 def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
-    """Max-norm residual of Kf - lam f = (Kf - f) + (1 - lam) f over the given states.
+    """Max-norm residual of Kf - lam f = (Kf - f) + gap f over the given states.
 
     Kf - f is formed from increments: a*.(M^T x - x)_{<d} / N for Moran, with
     no row and all states as one array; sum p (f(y) - f(x)) over urn rows.
     """
-    spec = kernels.expand_standard(spec)
     states = [validate_composition(x, ed.N, ed.d) for x in states]
-    if isinstance(spec, MoranGeneral):
-        return _moran_residual(spec.M, ed, states, 1.0 - ed.lam)
+    if not isinstance(spec, UrnSpec):
+        return _moran_residual(spec.M, ed, states)
     worst = 0.0
     for x in states:
         fx = ed.value(x)
         row = kernels.transition_row(spec, x)
         kf = math.fsum(p * (ed.value(y) - fx) for y, p in row.probs.items())
-        worst = max(worst, abs(kf + (1.0 - ed.lam) * fx))
+        worst = max(worst, abs(kf + ed.gap * fx))
     return worst
 
 
-def _moran_residual(M: MutationMatrix, ed: EigenData, states, gap: float) -> float:
-    """Max over states of |(Kf - f)(x) + gap f(x)|, gap standing for 1 - lam."""
+def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:
+    """Max over states of |(Kf - f)(x) + gap f(x)|, gap = 1 - lam."""
     x = np.array(states, dtype=float).reshape(-1, ed.d)
     a = np.array(ed.a_star)
     kf_minus_f = (x @ M.matrix - x)[:, :-1] @ a / ed.N
     f = x[:, :-1] @ a + ed.f0
-    return float(np.max(np.abs(kf_minus_f + gap * f), initial=0.0))
+    return float(np.max(np.abs(kf_minus_f + ed.gap * f), initial=0.0))

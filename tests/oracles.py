@@ -26,12 +26,11 @@ from scipy.sparse.linalg import spsolve
 
 from monochain import (
     Composition,
-    MoranGeneral,
     PerronConvergenceError,
     TransitionRow,
+    UrnSpec,
     ValidationError,
     dominated_pick,
-    expand_standard,
     validate_composition,
 )
 from monochain.kernels import pick_index
@@ -135,10 +134,9 @@ def sample_step_reference(spec, x, rng):
 
     Validates x on every call and keeps nothing between calls.
     """
-    spec = expand_standard(spec)
     N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
-    if isinstance(spec, MoranGeneral):
+    if not isinstance(spec, UrnSpec):
         death = pick_index(rng.random() * N, x)
         parent = pick_index(rng.random() * N, x)
         offspring = bisect_left(spec.M.cum_rows[parent], rng.random())
@@ -264,15 +262,14 @@ def polya_row_oracle(kind: str, x, s, alpha) -> dict:
     return rows
 
 
-def moran_row_scalar(spec: MoranGeneral, x: Composition) -> TransitionRow:
+def moran_row_scalar(spec, x: Composition) -> TransitionRow:
     """One-step row of the Moran replacement chain from x, one path at a time.
 
     The reference for the batched Moran rows of kernels.kernel_rows: their
     entries, bits and order.
     """
-    if not isinstance(spec, MoranGeneral):
-        raise ValidationError(
-            "moran_row_scalar needs a MoranGeneral spec (expand a standard one first)")
+    if isinstance(spec, UrnSpec):
+        raise ValidationError("moran_row_scalar needs a Moran spec")
     N, d = spec.N, spec.d
     x = validate_composition(x, N, d)
     # Offspring species distribution: parent uniform, then one mutation step.

@@ -27,7 +27,7 @@ from monochain import (
     stationary,
     transition_row,
 )
-from monochain import cli, spectral
+from monochain import cli
 from monochain.cli import _empirical_tv, main
 from helpers import delta_construction_matrix
 
@@ -212,15 +212,12 @@ def test_successive_main_calls_share_no_parsed_state(tmp_path, capsys, monkeypat
                              "max_steps": None, "trajectories": None, "summary": None}
 
 
-def test_couple_checks_the_mutation_matrix_once_per_run(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = coupling.classify_conditions
-    monkeypatch.setattr(coupling, "classify_conditions",
-                        lambda M: calls.append(M) or real(M))
+def test_couple_checks_the_mutation_matrix_once_per_run(tmp_path, capsys, perron_runs):
+    # The eigendata and all six replicates share one condition check.
     doc = dict(DELTA_MORAN, start_upper=[2, 2, 2], replicates=6, max_steps=30)
     assert main(["couple", "--config", _write(tmp_path, doc)]) == 0
     assert json.loads(capsys.readouterr().out)["replicates"] == 6
-    assert len(calls) == 1
+    assert len(perron_runs) == 1
 
 
 def test_couple_contraction_statistics(tmp_path, capsys):
@@ -539,36 +536,27 @@ SPECTRAL_DIGESTS = [
 
 @pytest.mark.parametrize("doc,digest", SPECTRAL_DIGESTS,
                          ids=["moran_general_d3", "moran_general_d5", "moran_standard"])
-def test_spectral_makes_one_perron_run(tmp_path, capsys, monkeypatch, doc, digest):
+def test_spectral_makes_one_perron_run(tmp_path, capsys, perron_runs, doc, digest):
     # The condition flags and the eigendata share one Perron run; the report
     # is unchanged byte for byte.
-    calls = []
-    real = spectral.perron
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "perron", counting)
     cfg = _write(tmp_path, doc)
     assert main(["spectral", "--config", cfg]) == 0
-    assert len(calls) == 1
+    assert len(perron_runs) == 1
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_couple_makes_one_perron_run(tmp_path, capsys, monkeypatch):
+def test_couple_makes_one_perron_run(capsys, perron_runs):
     # The eigendata reuse the Perron run of the coupler's condition check.
-    calls = []
-    real = spectral.perron
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "perron", counting)
     assert main(["couple", "--config", str(CONFIG_DIR / "moran_general.json")]) == 0
     assert json.loads(capsys.readouterr().out)["order_violations"] == 0
-    assert len(calls) == 1
+    assert len(perron_runs) == 1
+
+
+def test_spectral_on_the_general_config_makes_one_perron_run(capsys, perron_runs):
+    # The condition flags and the eigendata read one cached report.
+    assert main(["spectral", "--config", str(CONFIG_DIR / "moran_general.json")]) == 0
+    assert any(json.loads(capsys.readouterr().out)["conditions"].values())
+    assert len(perron_runs) == 1
 
 
 def test_spectral_failing_matrix_exits_nonzero(tmp_path, capsys):

@@ -14,6 +14,7 @@ from monochain import (
     Ehrenfest,
     MoranGeneral,
     MoranStandard,
+    MutationMatrix,
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
@@ -185,39 +186,33 @@ def test_run_coupled_rejects_unordered_or_invalid():
         run_coupled(bad_moran, (0, 0, 9), (4, 3, 2), 10, rng)  # wrong total
 
 
-def test_run_coupled_requires_monotone_mutation_matrix():
-    from monochain import MutationMatrix
+# No dominated-last-row condition holds: the last row is not even weakly dominated.
+NO_CONDITION = [[0.2, 0.4, 0.4], [0.3, 0.4, 0.3], [0.5, 0.1, 0.4]]
 
-    bad = MoranGeneral(6, MutationMatrix([
-        [0.2, 0.4, 0.4],
-        [0.3, 0.4, 0.3],
-        [0.5, 0.1, 0.4],
-    ]))
+
+def test_run_coupled_requires_monotone_mutation_matrix():
+    bad = MoranGeneral(6, MutationMatrix(NO_CONDITION))
     with pytest.raises(ValidationError, match="monotonicity"):
         run_coupled(bad, (0, 0, 6), (2, 2, 2), 10, np.random.default_rng(0))
 
 
-def test_run_coupled_checks_each_mutation_matrix_once(monkeypatch):
-    from monochain import MutationMatrix
-
-    calls = []
-    real = coupling.classify_conditions
-    monkeypatch.setattr(coupling, "classify_conditions",
-                        lambda M: calls.append(M) or real(M))
+def test_run_coupled_checks_each_mutation_matrix_once(perron_runs):
     spec = MoranGeneral(8, delta_construction_matrix(0.05))
     for seed in range(4):
         run_coupled(spec, (0, 0, 8), (4, 3, 1), 20, np.random.default_rng(seed))
-    assert calls == [spec.M]
-    # A matrix that fails is refused on every call, not only the first.
+    assert len(perron_runs) == 1
+    # A matrix that fails is refused on every call, not only the first.  Its
+    # last row is weakly dominated, so its check makes a Perron run, but the
+    # reduced matrix [[0.3, 0], [0, 0]] is reducible with eigenvector (1, 0).
     bad = MoranGeneral(6, MutationMatrix([
-        [0.2, 0.4, 0.4],
-        [0.3, 0.4, 0.3],
-        [0.5, 0.1, 0.4],
+        [0.5, 0.3, 0.2],
+        [0.2, 0.3, 0.5],
+        [0.2, 0.3, 0.5],
     ]))
     for _ in range(2):
         with pytest.raises(ValidationError, match="monotonicity"):
             run_coupled(bad, (0, 0, 6), (2, 2, 2), 10, np.random.default_rng(0))
-    assert calls == [spec.M, bad.M]
+    assert len(perron_runs) == 2
 
 
 def test_run_coupled_keeps_only_the_steps_asked_for():
@@ -656,6 +651,20 @@ def test_coupled_step_record_trusts_only_its_own_pair(monkeypatch):
     for copy in (CoupledPair(*pair), tuple(pair), [list(pair.x), list(pair.y)]):
         coupled_step(spec, copy, np.random.default_rng(85))
     assert len(calls) == 4
+
+
+def test_coupled_step_record_miss_refuses_a_matrix_meeting_no_condition():
+    # A pair the record does not hold gets run_coupled's check: the matrix is
+    # refused before any draw, and the record keeps the last good call.
+    bad = MoranGeneral(6, MutationMatrix(NO_CONDITION))
+    rng = np.random.default_rng(88)
+    coupled_step(MORAN, CoupledPair((0, 2, 6), (3, 3, 2)), rng)
+    record, before = coupling._last_coupled, rng.bit_generator.state
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="monotonicity"):
+            coupled_step(bad, CoupledPair((0, 0, 6), (2, 2, 2)), rng)
+        assert rng.bit_generator.state == before
+        assert coupling._last_coupled is record
 
 
 def test_coupled_step_record_frees_the_last_generator():

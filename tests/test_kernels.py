@@ -18,7 +18,11 @@ from monochain import (
     PolyaUpDown,
     UrnSpec,
     ValidationError,
+    build_matrix,
+    eigen_residual,
     enumerate_states,
+    model_eigendata,
+    run_coupled,
     sample_step,
     spec_from_json,
     spec_to_json,
@@ -87,7 +91,7 @@ def test_rows_sum_to_one_random_cases():
 def test_standard_rows_match_general_expansion():
     rng = np.random.default_rng(4)
     spec = MoranStandard(5, 0.6, (0.3, 0.2, 0.5))
-    general = spec.expand()
+    general = MoranGeneral(spec.N, spec.M)
     for _ in range(20):
         x = random_state(rng, 5, 3)
         assert transition_row(spec, x).probs == transition_row(general, x).probs
@@ -503,10 +507,34 @@ def test_urn_constructors_share_one_spec():
         Ehrenfest(5, 2, (1.0, 2.0))
 
 
-def test_standard_spec_expands_once():
-    spec = MoranStandard(6, 0.4, (0.3, 0.7))
-    assert spec.expand() is spec.expand()
-    assert spec == MoranStandard(6, 0.4, (0.3, 0.7))
+def test_standard_spec_and_its_general_twin_agree():
+    # A standard spec is the general chain with its own matrix M: every
+    # consumer gives the same bits for both.
+    spec = MoranStandard(6, 0.4, (0.3, 0.2, 0.5))
+    assert spec == MoranStandard(6, 0.4, (0.3, 0.2, 0.5))
     assert "MutationMatrix" not in repr(spec)
-    expected = (1.0 - 0.4) * np.eye(2) + 0.4 * np.array([[0.3, 0.7], [0.3, 0.7]])
-    assert np.array_equal(spec.expand().M.matrix, expected)
+    p = np.array([0.3, 0.2, 0.5])
+    expected = (1.0 - 0.4) * np.eye(3) + 0.4 * np.tile(p, (3, 1))
+    assert np.array_equal(spec.M.matrix, expected)
+    twin = MoranGeneral(spec.N, spec.M)
+
+    a, b = build_matrix(spec).csr, build_matrix(twin).csr
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    states = enumerate_states(6, 3)
+    for x in states:
+        for z in states:
+            assert transition_prob(spec, x, z) == transition_prob(twin, x, z)
+    chains = []
+    for s in (spec, twin):
+        rng, x, chain = np.random.default_rng(91), (0, 1, 5), []
+        for _ in range(500):
+            x = sample_step(s, x, rng)
+            chain.append(x)
+        chains.append((chain, rng.bit_generator.state))
+    assert chains[0] == chains[1]
+    runs = [run_coupled(s, (0, 1, 5), (3, 2, 1), 400, np.random.default_rng(92))
+            for s in (spec, twin)]
+    assert runs[0] == runs[1]
+    ed = model_eigendata(spec)
+    assert eigen_residual(spec, ed, states) == eigen_residual(twin, ed, states)

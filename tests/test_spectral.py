@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from oracles import moran_row_scalar, perron_oracle
 
 def test_standard_choice_satisfies_positive_eigenvector_condition():
     spec = MoranStandard(10, 0.4, (0.2, 0.3, 0.5))
-    report = classify_conditions(spec.expand().M)
+    report = classify_conditions(spec.M)
     assert report.c3_holds
     assert not report.c1_holds  # diagonal of the reduced matrix breaks strictness
     # Reduced matrix is (1 - m) I.
@@ -89,20 +90,38 @@ def test_perron_failure_under_weak_irreducible_condition():
     assert str(info.value) == "Perron iteration failed: iterates cycle with period 2"
 
 
-def test_general_moran_eigendata_makes_one_perron_run(monkeypatch):
-    calls = []
-    real = spectral.perron
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "perron", counting)
+def test_general_moran_eigendata_makes_one_perron_run(perron_runs):
+    # The conditions of a matrix are classified once; a repeated report reads them.
     spec = MoranGeneral(100, delta_construction_matrix(0.05))
     model_eigendata(spec)
-    assert len(calls) == 1
+    assert len(perron_runs) == 1
     bound_report(spec, (30, 30, 40), 0.01)
-    assert len(calls) == 2
+    assert len(perron_runs) == 1
+
+
+def test_a_kept_perron_failure_is_raised_fresh_each_time(perron_runs):
+    # The failing run is made once and kept; each call raises a new exception,
+    # so the kept one's traceback does not grow call by call.
+    m = MutationMatrix([[0.1, 0.6, 0.3], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(PerronConvergenceError) as info:
+            build_eigenfunction(m, 10)
+        raised.append(info.value)
+    first, second = raised
+    assert first is not second and str(first) == str(second)
+    assert len(traceback.extract_tb(second.__traceback__)) <= len(
+        traceback.extract_tb(first.__traceback__))
+    assert len(perron_runs) == 1
+
+
+@pytest.mark.parametrize("n", [10**6, 10**8, 10**9])
+def test_general_moran_residual_holds_at_large_n(n):
+    # The check reads the eigendata's gap, not the rounded 1 - lam, which has
+    # lost the gap's low bits that f ~ N multiplies.
+    spec = MoranGeneral(n, random_dominated_matrix(np.random.default_rng(2014), 3))
+    ed = model_eigendata(spec)
+    assert eigen_residual(spec, ed, [(n, 0, 0), (0, 0, n)]) <= 1e-12
 
 
 def test_perron_scaled_identity():
@@ -233,9 +252,8 @@ def test_moran_increment_residual_matches_the_row_form():
         for spec in (MoranGeneral(n, random_dominated_matrix(rng, d)),
                      MoranStandard(n, 0.6, tuple(np.full(d, 1.0 / d)))):
             ed = model_eigendata(spec)
-            general = spec if isinstance(spec, MoranGeneral) else spec.expand()
             for x in enumerate_states(n, d):
-                row = moran_row_scalar(general, x).probs
+                row = moran_row_scalar(spec, x).probs
                 by_row = math.fsum(p * ed.value(y) for y, p in row.items()) - ed.lam * ed.value(x)
                 assert eigen_residual(spec, ed, [x]) == pytest.approx(abs(by_row), abs=1e-12)
 
@@ -271,7 +289,7 @@ def test_general_moran_eigendata_builds_no_kernel_row(monkeypatch):
 
 def test_build_eigenfunction_standard_closed_forms():
     n, m, p = 10, 0.4, (0.2, 0.3, 0.5)
-    ed = build_eigenfunction(MoranStandard(n, m, p).expand().M, n)
+    ed = build_eigenfunction(MoranStandard(n, m, p).M, n)
     assert ed.lam == pytest.approx(1 - m / n, abs=1e-15)
     assert ed.a_star == pytest.approx((1.0, 1.0), abs=1e-14)
     assert ed.a_d == pytest.approx(-(1 - p[-1]), abs=1e-14)
@@ -358,6 +376,7 @@ def test_bounds_invariant_under_eigenfunction_rescaling():
     t = 3.7
     scaled = EigenData(
         lam=ed.lam,
+        gap=ed.gap,
         a_star=tuple(t * a for a in ed.a_star),
         a_d=t * ed.a_d,
         c1=t * ed.c1,
