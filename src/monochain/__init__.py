@@ -39,7 +39,6 @@ from .exact import (
     MonotonicityAudit,
     TransitionMatrix,
     build_matrix,
-    check_irreducible_aperiodic,
     monotonicity_audit,
     stationary,
     tv_curve,
@@ -75,9 +74,7 @@ from .statespace import (
     enumerate_states,
     minimal_element,
     partial_leq,
-    rank,
     state_count,
-    unrank,
     validate_composition,
 )
 

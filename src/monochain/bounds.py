@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec, as_integer, as_real
 from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
@@ -121,15 +121,21 @@ def multinomial_log_pmf(x, n_total: int, p) -> float:
 
 
 def _counts_and_weights(x, n_total: int, weights, name: str):
-    """(x, weights) as tuples, checked: x sums to N, one positive weight per count."""
-    x = tuple(x)
+    """(x, weights) as tuples, checked by the rules the specs use.
+
+    x holds integer counts >= 0 summing to N, and weights one positive,
+    finite real per count; a single count (d = 1) is allowed.
+    """
+    x = tuple(as_integer(c, "count") for c in x)
+    if any(c < 0 for c in x):
+        raise ValidationError(f"counts must be >= 0, got {x!r}")
     if sum(x) != n_total:
         raise ValidationError(f"counts {x!r} do not sum to N={n_total}")
-    weights = tuple(float(w) for w in weights)
+    weights = tuple(as_real(w, f"{name} entry") for w in weights)
     if len(weights) != len(x):
         raise ValidationError(f"{name} and x must have the same length")
-    if any(w <= 0.0 for w in weights):
-        raise ValidationError(f"{name} entries must be positive")
+    if not all(0.0 < w < math.inf for w in weights):
+        raise ValidationError(f"{name} entries must be positive and finite, got {weights!r}")
     return x, weights
 
 

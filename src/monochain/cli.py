@@ -177,12 +177,8 @@ def cmd_exact(cfg: RunConfig) -> int:
         tm = exact.build_matrix(cfg.spec)
     except CapacityError as exc:
         raise CapacityError(f"{exc}; reduce N or d for an exact curve") from exc
-    ed = spectral.model_eigendata(cfg.spec)
-    lower, upper = bounds_mod.tv_bound_coefficients(ed, cfg.start)
-    try:
-        crude = bounds_mod.crude_bound(cfg.spec, cfg.start)
-    except UnknownStationaryError:
-        crude = None
+    report = bounds_mod.bound_report(cfg.spec, cfg.start, cfg.epsilon)
+    lower, upper, crude = report.lower_coeff, report.upper_coeff, report.crude_coeff
     curve = exact.tv_curve(tm, cfg.start, cfg.n_max)
 
     buf = io.StringIO()
@@ -197,7 +193,7 @@ def cmd_exact(cfg: RunConfig) -> int:
             f"{upper * decay:.12g}",
             "" if crude is None else f"{crude * decay:.12g}",
         ])
-        decay *= ed.lam
+        decay *= report.lam
     text = buf.getvalue()
     if cfg.output:
         with _open_output(cfg.output) as fh:
@@ -289,12 +285,8 @@ def _empirical_tv(spec: ModelSpec, x: Composition, samples) -> float:
 def cmd_spectral(cfg: RunConfig) -> int:
     if isinstance(cfg.spec, UrnSpec):
         raise ValidationError("spectral report targets the Moran chains")
-    report = spectral.classify_conditions(cfg.spec.M)
-    if not report.any_holds:
-        raise NoMonotoneConditionError(
-            "mutation matrix fails the dominated-last-row monotonicity conditions"
-        )
     ed = spectral.model_eigendata(cfg.spec)
+    report = spectral.classify_conditions(cfg.spec.M)
     doc = ed.to_json_dict()
     doc["conditions"] = {
         "strict_domination": report.c1_holds,

@@ -2,11 +2,11 @@
 
 Everything here materializes the full state space, so it is gated by the
 enumeration cap.  After a graph check that the kernel is irreducible and
-aperiodic, the stationary distribution comes from power iteration on K^T
-started from the closed-form law where there is one, and from one sparse
-direct solve otherwise.  A TV curve writes its K^T products into the rows of
-a preallocated block and reduces each block's distances to stationarity at
-once.  Nothing makes the kernel dense.
+aperiodic, the stationary distribution is one K^T product of the closed-form
+law where there is one and that product passes the stationarity check, and
+one sparse direct solve otherwise.  A TV curve writes its K^T products into
+the rows of a preallocated block and reduces each block's distances to
+stationarity at once.  Nothing makes the kernel dense.
 
 scipy's sparse stack is imported on the first exact-engine call (building a
 matrix, the graph check, the direct solve, a K^T product), not with the
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import stationary_log_pmfs
 from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MoranStandard, kernel_rows
+from .kernels import ModelSpec, as_integer, kernel_rows
 from .statespace import (
     DEFAULT_STATE_CAP,
     Composition,
@@ -37,14 +37,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _STATIONARY_CHECK_TOL = 1e-12
-# Power iteration from a closed-form start stops once successive iterates
-# differ by at most _STATIONARY_STOP_TOL in max norm, tested every
-# _STATIONARY_CHECK_EVERY products.  A correct start settles in one product;
-# one that has not settled within _STATIONARY_POWER_BUDGET products is wrong,
-# and the direct solve takes over.
-_STATIONARY_STOP_TOL = 1e-15
-_STATIONARY_CHECK_EVERY = 8
-_STATIONARY_POWER_BUDGET = 1 << 10
 # Floats in the block of iterates a TV curve holds at once (2 rows at least).
 _TV_BLOCK_BUDGET = 1 << 17
 
@@ -147,19 +139,6 @@ def _product(kt: sp.csr_matrix):
     return product
 
 
-def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
-    product = _product(kt)
-    for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
-        prev, v = v, product(v, np.zeros(len(v)))
-        # A NaN settles too, and fails the residual check.
-        if not float(np.max(np.abs(v - prev))) > _STATIONARY_STOP_TOL:
-            return v, True
-        for _ in range(_STATIONARY_CHECK_EVERY - 1):
-            v = product(v, np.zeros(len(v)))
-    return v, False
-
-
 def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
     """Unnormalized pi with pi (I - K) = 0 by one sparse LU solve.
 
@@ -178,36 +157,42 @@ def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
     return np.append(lu.solve(-a[:-1, -1].toarray().ravel()), 1.0)
 
 
+def _stationarity_problem(csr: sp.csr_matrix, pi: np.ndarray) -> str | None:
+    """Why a normalized pi is not stationary for csr to 1e-12 in max norm, or None."""
+    residual = float(np.max(np.abs(pi @ csr - pi)))
+    # Written so that a NaN from a product or a singular solve fails the check.
+    if residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL:
+        return None
+    return (f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
+            f"smallest entry {pi.min():.3e}")
+
+
 def stationary(tm: TransitionMatrix) -> np.ndarray:
     """Stationary distribution, verified against the kernel.
 
     Refuses a reducible or periodic kernel.  Where the closed-form law is
-    known it iterates v -> K^T v from it until successive iterates differ by
-    at most 1e-15 in max norm, which takes one product when the formula
-    holds; the start is never returned as is.  Otherwise (general Moran,
-    hand-built kernels), or if that iteration has not settled within its
-    budget, one sparse direct solve gives the kernel's own law; unlike power
-    iteration or restarted Krylov solvers, it does not stall on slowly mixing
-    chains.  Either way the result is normalized and verified pi K = pi to
-    1e-12 in max norm with no entry below -1e-12.
+    known it makes one product K^T v of it, normalizes it, and returns it if
+    it passes the check below, as it does when the formula holds; the law
+    itself is never returned as is.  Otherwise (general Moran, hand-built
+    kernels, a product that fails), one sparse direct solve gives the
+    kernel's own law; unlike power iteration or restarted Krylov solvers, it
+    does not stall on slowly mixing chains.  The check: pi K = pi to 1e-12
+    in max norm, with no entry below -1e-12.
     """
     problem = _ergodicity_problem(tm.csr)
     if problem is not None:
         raise StationaryConvergenceError(f"no unique limiting law: {problem}")
     start = _start(tm)
-    settled = False
     if start is not None:
-        pi, settled = _power_iterate(tm.kt, start)
-    if not settled:
-        pi = _solve_direct(tm.csr)
+        pi = _product(tm.kt)(start, np.zeros(tm.dim))
+        pi = pi / pi.sum()
+        if _stationarity_problem(tm.csr, pi) is None:
+            return pi
+    pi = _solve_direct(tm.csr)
     pi = pi / pi.sum()
-    residual = float(np.max(np.abs(pi @ tm.csr - pi)))
-    # Written so that a NaN from the iteration or a singular solve fails the check.
-    if not (residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL):
-        raise StationaryConvergenceError(
-            f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
-            f"smallest entry {pi.min():.3e}"
-        )
+    problem = _stationarity_problem(tm.csr, pi)
+    if problem is not None:
+        raise StationaryConvergenceError(problem)
     return pi
 
 
@@ -224,6 +209,7 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
     x0 = validate_composition(x0, None, None)
     if x0 not in tm.index:
         raise ValidationError(f"start state {x0!r} is not in the state space")
+    n_max = as_integer(n_max, "n_max")
     if n_max < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     if pi is None:
@@ -245,14 +231,6 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         out[lo:lo + k] = 0.5 * dist.sum(axis=1)
         block.fill(0.0)
     return out
-
-
-def check_irreducible_aperiodic(spec: MoranGeneral,
-                                cap: int | None = DEFAULT_STATE_CAP) -> bool:
-    """Whether the chain's state graph is strongly connected with period 1."""
-    if not isinstance(spec, (MoranGeneral, MoranStandard)):
-        raise ValidationError("check targets the Moran replacement chain")
-    return _ergodicity_problem(build_matrix(spec, cap=cap).csr) is None
 
 
 @dataclass(frozen=True)

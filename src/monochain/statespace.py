@@ -6,8 +6,8 @@ integers summing to N.  The lattice carries the partial order
     x <= y  iff  x_i <= y_i for every i < d,
 
 which automatically forces x_d >= y_d.  Enumeration is colexicographic on the
-first d-1 coordinates (first coordinate varies fastest), and rank/unrank use
-exact integer binomial arithmetic so they stay correct at the cap boundary.
+first d-1 coordinates (first coordinate varies fastest), so a state's colex
+rank, computed by ``ranks``, is its row in ``state_array``.
 """
 from __future__ import annotations
 
@@ -106,23 +106,8 @@ def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) 
     return list(zip(*state_array(n_total, d, cap).T.tolist()))
 
 
-def rank(x: Composition) -> int:
-    """Colex rank of x among the compositions of sum(x) into len(x) parts."""
-    xt = validate_composition(x)
-    d = len(xt)
-    remaining = sum(xt)
-    r = 0
-    for k in range(d - 1, 0, -1):
-        v = xt[k - 1]
-        # Number of length-k prefixes with a smaller last coordinate:
-        # sum_{t<v} C(remaining - t + k - 1, k - 1), telescoped.
-        r += math.comb(remaining + k, k) - math.comb(remaining - v + k, k)
-        remaining -= v
-    return r
-
-
 def ranks(z: np.ndarray, n_total: int) -> np.ndarray:
-    """Colex ranks of the compositions of n_total in the last axis of z, as rank gives them."""
+    """Colex ranks of the compositions of n_total in the last axis of z: their state_array rows."""
     d = z.shape[-1]
     # comb(m + k, k) for m = 0..n_total and k < d, by the hockey-stick identity.
     combs = np.ones((n_total + 1, d), dtype=np.int64)
@@ -132,33 +117,11 @@ def ranks(z: np.ndarray, n_total: int) -> np.ndarray:
     r = np.zeros(z.shape[:-1], dtype=np.int64)
     for k in range(d - 1, 0, -1):
         v = z[..., k - 1]
+        # Number of length-k prefixes with a smaller last coordinate:
+        # sum_{t<v} C(remaining - t + k - 1, k - 1), telescoped.
         r += combs[remaining, k] - combs[remaining - v, k]
         remaining -= v
     return r
-
-
-def unrank(index: int, n_total: int, d: int) -> Composition:
-    """Inverse of rank: the composition at colex position ``index``."""
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got d={d}")
-    size = state_count(n_total, d)
-    if not 0 <= index < size:
-        raise ValidationError(f"index {index} out of range for {size} states")
-    out = [0] * d
-    remaining = n_total
-    i = index
-    for k in range(d - 1, 0, -1):
-        cum = 0
-        for t in range(remaining + 1):
-            block = math.comb(remaining - t + k - 1, k - 1)
-            if i < cum + block:
-                out[k - 1] = t
-                i -= cum
-                remaining -= t
-                break
-            cum += block
-    out[d - 1] = remaining
-    return tuple(out)
 
 
 def partial_leq(x: Composition, y: Composition) -> bool:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import monochain as mc
+from monochain import exact
 from monochain.coupling import CoupledPair, coupled_step
 from helpers import (
     delta_construction_matrix,
@@ -212,7 +213,8 @@ def test_criterion_9_irreducible_aperiodic_property():
             m = random_positive_matrix(rng, d)
         else:
             m = random_dominated_matrix(rng, d)
-        assert mc.check_irreducible_aperiodic(mc.MoranGeneral(n, m))
+        tm = mc.build_matrix(mc.MoranGeneral(n, m))
+        assert exact._ergodicity_problem(tm.csr) is None
         checked += 1
     _finish(9, "chain irreducible and aperiodic for 100 random mutation matrices", t0, 10.0)
 

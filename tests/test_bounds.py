@@ -97,10 +97,21 @@ def test_bound_report_refuses_an_invalid_epsilon(epsilon):
     lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 2.0, 0.5)), (1, 2, 4)),
     lambda: stationary_log_pmf(Ehrenfest(6, 1, (0.2, 0.3, 0.5)), (1, 2, 2, 1)),
     lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 0.0, 0.5)), (1, 2, 3)),
+    lambda: dm_log_pmf((1, 1), 2, (True, 1.0)),
+    lambda: dm_log_pmf((1, 1), 2, ("2", 1.0)),
+    lambda: dm_log_pmf((1.5, 0.5), 2, (1.0, 1.0)),
+    lambda: dm_log_pmf((-1, 3), 2, (1.0, 1.0)),
+    lambda: dm_log_pmf((1, 1), 2, (math.nan, 1.0)),
+    lambda: multinomial_log_pmf((-1, 3), 2, (0.5, 0.5)),
+    lambda: multinomial_log_pmf((1, 1), 2, (math.inf, 0.5)),
 ], ids=["dm_sum", "dm_length", "dm_weight", "multinomial_sum", "multinomial_length",
-        "multinomial_weight", "stationary_sum", "stationary_length", "stationary_weight"])
+        "multinomial_weight", "stationary_sum", "stationary_length", "stationary_weight",
+        "dm_bool_weight", "dm_string_weight", "dm_fractional_count", "dm_negative_count",
+        "dm_nan_weight", "multinomial_negative_count", "multinomial_infinite_weight"])
 def test_log_pmfs_refuse_invalid_input(call):
-    # A stationary law's weights are the spec's, refused when it is built.
+    # Counts and weights are checked by the specs' rules: integer counts >= 0,
+    # real weights that are positive and finite.  A stationary law's weights
+    # are the spec's, refused when it is built.
     with pytest.raises(ValidationError):
         call()
 

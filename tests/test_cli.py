@@ -382,8 +382,8 @@ def test_exact_at_twelve_thousand_states_in_bounded_memory(tmp_path):
 
 def test_exact_at_d5_in_bounded_memory(tmp_path):
     # N = 30, d = 5: 46,376 states and 4.8M nonzeros.  The kernel and the
-    # power iteration fit a 2 GB address space; a sparse LU of the same
-    # kernel fills in beyond it.
+    # closed-form law's one K^T product fit a 2 GB address space; a sparse LU
+    # of the same kernel fills in beyond it.
     resource = pytest.importorskip("resource")
     doc = {
         "model": {"model": "polya_level", "N": 30, "s": 2, "alpha": [1.0, 2.0, 1.5, 0.5, 1.0]},

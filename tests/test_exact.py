@@ -21,7 +21,6 @@ from monochain import (
     StationaryConvergenceError,
     ValidationError,
     build_matrix,
-    check_irreducible_aperiodic,
     crude_bound,
     dm_log_pmf,
     model_eigendata,
@@ -265,23 +264,61 @@ def test_stationary_matches_lu_oracle(spec):
 
 
 def test_stationary_corrects_a_wrong_start(monkeypatch):
-    # The start only speeds convergence: from a point mass the iteration
-    # still reaches the kernel's own law, within its budget (gap 0.062, about
-    # 560 products) and to the accuracy its 1e-15 stop gives, about 1e-15/gap.
+    # A start that one product moves is dropped: from a point mass the result
+    # is the direct solve's law, which is the Dirichlet-multinomial one.
     alpha = (1.0, 2.0, 1.5)
     tm = build_matrix(PolyaLevel(10, 2, alpha))
+    direct = stationary_lu(tm.csr)
     monkeypatch.setattr(exact, "_start", lambda tm: np.eye(tm.dim)[0])
-    monkeypatch.setattr(exact, "_solve_direct", None)
-    err = max(abs(p - math.exp(dm_log_pmf(x, 10, alpha)))
-              for p, x in zip(stationary(tm), tm.states))
+    pi = stationary(tm)
+    assert np.max(np.abs(pi - direct)) <= 1e-13
+    err = max(abs(p - math.exp(dm_log_pmf(x, 10, alpha))) for p, x in zip(pi, tm.states))
     assert err <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [
+    MoranStandard(200, 0.5, (0.3, 0.2, 0.5)),
+    PolyaLevel(200, 2, (1.0, 2.0, 3.0)),
+    PolyaUpDown(200, 2, (1.0, 2.0, 3.0)),
+    PolyaDownUp(200, 2, (1.0, 2.0, 3.0)),
+    Ehrenfest(200, 2, (0.3, 0.2, 0.5)),
+    MoranStandard(12, 0.999, (0.2,) * 5),
+    PolyaLevel(20, 2, (1e5,) * 5),
+], ids=["moran_standard", "polya_level", "polya_updown", "polya_downup", "ehrenfest",
+        "moran_standard_large_weights", "polya_level_large_weights"])
+def test_closed_form_stationary_law_takes_one_product(spec, monkeypatch):
+    # d = 3, N = 200 (20,301 states): the closed-form law's one K^T product
+    # passes the stationarity check, so the direct solve is never reached.
+    # It passes too at d = 5 with weights of 2.4e3 and 1e5, where lgamma's
+    # rounding lets that product move the law by 9e-15 and 9e-14.
+    products = []
+
+    def counted(kt):
+        product = real_product(kt)
+
+        def count(v, out):
+            products.append(1)
+            return product(v, out)
+
+        return count
+
+    def refused(csr):
+        raise AssertionError("direct solve reached")
+
+    real_product = exact._product
+    monkeypatch.setattr(exact, "_product", counted)
+    monkeypatch.setattr(exact, "_solve_direct", refused)
+    pi = stationary(build_matrix(spec))
+    assert len(products) == 1
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nearly_periodic_kernel_is_solved_quickly(monkeypatch):
     # One self-loop of 1e-9 makes the flip aperiodic, so the graph check
-    # passes, but power iteration settles by a factor of only 1 - 1e-9 a
-    # step.  Without a closed form the direct solve answers at once; from a
-    # start, the iteration gives up at its budget and the solve takes over.
+    # passes, but power iteration would settle by a factor of only 1 - 1e-9
+    # a step.  Without a closed form the direct solve answers at once; a
+    # start that is not the law moves under its one product, and the direct
+    # solve answers too.
     tm = _hand_built([[1e-9, 1.0 - 1e-9], [1.0, 0.0]])
     t0 = time.perf_counter()
     assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-15
@@ -310,7 +347,7 @@ def test_tv_curve_starts_at_complement_of_stationary_mass():
 def test_stationary_and_tv_curve_share_one_transpose():
     tm = build_matrix(PolyaLevel(6, 1, (1.0, 2.0, 1.5)))
     pi = stationary(tm)
-    kt = vars(tm)["kt"]  # built by the power iteration from the closed form
+    kt = vars(tm)["kt"]  # built for the closed form's one product
     tv_curve(tm, (2, 2, 2), 5, pi)
     tv_curve(tm, (0, 0, 6), 5)
     assert vars(tm)["kt"] is kt
@@ -434,17 +471,25 @@ def test_tv_curve_rejects_foreign_state():
         tv_curve(tm, (7, 0, 0), 10)
 
 
+@pytest.mark.parametrize("n_max", [2.5, "3", True, -1])
+def test_tv_curve_refuses_a_non_integer_or_negative_length(n_max):
+    tm = build_matrix(Ehrenfest(6, 1, (0.3, 0.3, 0.4)))
+    with pytest.raises(ValidationError, match="n_max"):
+        tv_curve(tm, (0, 0, 6), n_max)
+
+
 def test_irreducible_aperiodic_for_random_mutation_matrices():
     rng = np.random.default_rng(22)
     for _ in range(10):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(1, 7))
         spec = MoranGeneral(n, random_positive_matrix(rng, d))
-        assert check_irreducible_aperiodic(spec)
+        assert exact._ergodicity_problem(build_matrix(spec).csr) is None
 
 
 def test_irreducible_aperiodic_accepts_standard_spec():
-    assert check_irreducible_aperiodic(MoranStandard(4, 0.5, (0.4, 0.6)))
+    tm = build_matrix(MoranStandard(4, 0.5, (0.4, 0.6)))
+    assert exact._ergodicity_problem(tm.csr) is None
 
 
 def test_monotone_families_pass_the_audit():

@@ -11,14 +11,12 @@ from monochain import (
     enumerate_states,
     minimal_element,
     partial_leq,
-    rank,
     run_coupled,
     sample_step,
     state_count,
-    unrank,
     validate_composition,
 )
-from monochain.statespace import compositions, ranks
+from monochain.statespace import compositions, ranks, state_array
 
 
 def test_enumerate_tiny_cases():
@@ -51,13 +49,11 @@ def test_cap_rejection_names_size():
 
 
 def test_rank_unrank_roundtrip_exhaustive():
-    # (44, 3) and (17, 4) are the exact benchmark's state spaces.
+    # (44, 3) and (17, 4) are the exact benchmark's state spaces.  A state's
+    # rank is its row in state_array.
     for n, d in [(4, 3), (2, 2), (5, 4), (0, 3), (44, 3), (17, 4)]:
-        states = enumerate_states(n, d)
-        for i, x in enumerate(states):
-            assert rank(x) == i
-            assert unrank(i, n, d) == x
-        assert ranks(np.array(states), n).tolist() == list(range(len(states)))
+        states = state_array(n, d)
+        assert ranks(states, n).tolist() == list(range(state_count(n, d)))
 
 
 def test_compositions_match_filtered_product():
@@ -71,35 +67,20 @@ def test_compositions_match_filtered_product():
 
 
 def test_rank_unrank_endpoints():
-    assert rank((0, 2)) == 0
-    assert unrank(2, 2, 2) == (2, 0)
+    assert ranks(np.array([(0, 2), (2, 0)]), 2).tolist() == [0, 2]
+    assert state_array(2, 2)[2].tolist() == [2, 0]
 
 
 def test_rank_unrank_exact_at_large_scale():
-    # Exact integer binomials keep ranking correct far beyond the enumeration
-    # cap; no floats anywhere in the index arithmetic.
-    rng = np.random.default_rng(1)
-    n, d = 100, 5
-    size = state_count(n, d)
-    for _ in range(50):
-        cuts = np.sort(rng.integers(0, n + 1, size=d - 1))
-        bounds = np.concatenate(([0], cuts, [n]))
-        x = tuple(int(b - a) for a, b in zip(bounds[:-1], bounds[1:]))
-        r = rank(x)
-        assert 0 <= r < size
-        assert unrank(r, n, d) == x
-    assert rank((0,) * (d - 1) + (n,)) == 0
-    # Colex-maximal state: all mass on the last prefix coordinate.
-    assert rank((0,) * (d - 2) + (n, 0)) == size - 1
-
-
-def test_rank_validates_composition():
-    with pytest.raises(ValidationError):
-        rank((1, -1, 2))
-    with pytest.raises(ValidationError):
-        unrank(15, 4, 3)  # only 15 states, max index 14
-    with pytest.raises(ValidationError):
-        validate_composition((1, 2), n_total=4)
+    # Integer binomials keep ranking exact at N = 100: every row of the
+    # 176,851-state space at d = 4, and the end states of the 4,598,126-state
+    # space at d = 5, beyond the enumeration cap; no floats in the index
+    # arithmetic.
+    n = 100
+    states = state_array(n, 4)
+    assert ranks(states, n).tolist() == list(range(state_count(n, 4)))
+    ends = np.array([(0, 0, 0, 0, n), (0, 0, 0, n, 0)])
+    assert ranks(ends, n).tolist() == [0, state_count(n, 5) - 1]
 
 
 def test_partial_order_axioms_exhaustive():
