@@ -230,23 +230,30 @@ def _crude_bound(spec: ModelSpec, x: Composition) -> float:
     return math.exp(-0.5 * _stationary_log_pmf(spec, x) - math.log(2.0))
 
 
-def bound_report(spec: ModelSpec, x: Composition, epsilon: float) -> BoundReport:
-    """Full bound evaluation: eigendata, coefficient pair, step counts, crude numbers.
+def bound_coefficients(spec: ModelSpec,
+                       x: Composition) -> tuple[float, float, float, float | None]:
+    """(lam, lower, upper, crude) at start x: bound_report without the step counts.
 
     The start is validated once; the general Moran chain, with no known
-    stationary law, has no crude numbers.
+    stationary law, has no crude coefficient (None).
     """
     ed = model_eigendata(spec)
     x = validate_composition(x, ed.N, ed.d)
     lower, upper = _coefficients(ed, x)
     crude = None if isinstance(spec, MoranGeneral) else _crude_bound(spec, x)
+    return ed.lam, lower, upper, crude
+
+
+def bound_report(spec: ModelSpec, x: Composition, epsilon: float) -> BoundReport:
+    """Full bound evaluation: bound_coefficients and the step counts to epsilon."""
+    lam, lower, upper, crude = bound_coefficients(spec, x)
     return BoundReport(
-        lam=ed.lam,
+        lam=lam,
         lower_coeff=lower,
         upper_coeff=upper,
         crude_coeff=crude,
         epsilon=epsilon,
-        steps_necessary=_report_steps(lower, ed.lam, epsilon),
-        steps_sufficient=_report_steps(upper, ed.lam, epsilon),
-        steps_crude=None if crude is None else _report_steps(crude, ed.lam, epsilon),
+        steps_necessary=_report_steps(lower, lam, epsilon),
+        steps_sufficient=_report_steps(upper, lam, epsilon),
+        steps_crude=None if crude is None else _report_steps(crude, lam, epsilon),
     )

@@ -177,8 +177,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         tm = exact.build_matrix(cfg.spec)
     except CapacityError as exc:
         raise CapacityError(f"{exc}; reduce N or d for an exact curve") from exc
-    report = bounds_mod.bound_report(cfg.spec, cfg.start, cfg.epsilon)
-    lower, upper, crude = report.lower_coeff, report.upper_coeff, report.crude_coeff
+    lam, lower, upper, crude = bounds_mod.bound_coefficients(cfg.spec, cfg.start)
     curve = exact.tv_curve(tm, cfg.start, cfg.n_max)
 
     buf = io.StringIO()
@@ -193,7 +192,7 @@ def cmd_exact(cfg: RunConfig) -> int:
             f"{upper * decay:.12g}",
             "" if crude is None else f"{crude * decay:.12g}",
         ])
-        decay *= report.lam
+        decay *= lam
     text = buf.getvalue()
     if cfg.output:
         with _open_output(cfg.output) as fh:

@@ -2,11 +2,11 @@
 
 Everything here materializes the full state space, so it is gated by the
 enumeration cap.  After a graph check that the kernel is irreducible and
-aperiodic, the stationary distribution is one K^T product of the closed-form
-law where there is one and that product passes the stationarity check, and
-one sparse direct solve otherwise.  A TV curve writes its K^T products into
-the rows of a preallocated block and reduces each block's distances to
-stationarity at once.  Nothing makes the kernel dense.
+aperiodic, the stationary distribution comes from power iteration on K^T
+started from the closed-form law where there is one, and from one sparse
+direct solve otherwise.  A TV curve writes its K^T products into the rows of
+a preallocated block and reduces each block's distances to stationarity at
+once.  Nothing makes the kernel dense.
 
 scipy's sparse stack is imported on the first exact-engine call (building a
 matrix, the graph check, the direct solve, a K^T product), not with the
@@ -37,6 +37,15 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _STATIONARY_CHECK_TOL = 1e-12
+# Power iteration from a closed-form start stops once successive iterates
+# differ by at most _STATIONARY_STOP_TOL in max norm, tested every
+# _STATIONARY_CHECK_EVERY products.  A correct start settles in one product,
+# or in a few dozen where the closed form's own rounding moves it by more
+# (large urn weights, concentrated laws); one that has not settled within
+# _STATIONARY_POWER_BUDGET products is wrong, and the direct solve takes over.
+_STATIONARY_STOP_TOL = 1e-15
+_STATIONARY_CHECK_EVERY = 8
+_STATIONARY_POWER_BUDGET = 1 << 10
 # Floats in the block of iterates a TV curve holds at once (2 rows at least).
 _TV_BLOCK_BUDGET = 1 << 17
 
@@ -139,6 +148,19 @@ def _product(kt: sp.csr_matrix):
     return product
 
 
+def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
+    product = _product(kt)
+    for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
+        prev, v = v, product(v, np.zeros(len(v)))
+        # A NaN settles too, and fails the residual check.
+        if not float(np.max(np.abs(v - prev))) > _STATIONARY_STOP_TOL:
+            return v, True
+        for _ in range(_STATIONARY_CHECK_EVERY - 1):
+            v = product(v, np.zeros(len(v)))
+    return v, False
+
+
 def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
     """Unnormalized pi with pi (I - K) = 0 by one sparse LU solve.
 
@@ -157,42 +179,37 @@ def _solve_direct(csr: sp.csr_matrix) -> np.ndarray:
     return np.append(lu.solve(-a[:-1, -1].toarray().ravel()), 1.0)
 
 
-def _stationarity_problem(csr: sp.csr_matrix, pi: np.ndarray) -> str | None:
-    """Why a normalized pi is not stationary for csr to 1e-12 in max norm, or None."""
-    residual = float(np.max(np.abs(pi @ csr - pi)))
-    # Written so that a NaN from a product or a singular solve fails the check.
-    if residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL:
-        return None
-    return (f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
-            f"smallest entry {pi.min():.3e}")
-
-
 def stationary(tm: TransitionMatrix) -> np.ndarray:
     """Stationary distribution, verified against the kernel.
 
     Refuses a reducible or periodic kernel.  Where the closed-form law is
-    known it makes one product K^T v of it, normalizes it, and returns it if
-    it passes the check below, as it does when the formula holds; the law
-    itself is never returned as is.  Otherwise (general Moran, hand-built
-    kernels, a product that fails), one sparse direct solve gives the
-    kernel's own law; unlike power iteration or restarted Krylov solvers, it
-    does not stall on slowly mixing chains.  The check: pi K = pi to 1e-12
-    in max norm, with no entry below -1e-12.
+    known it iterates v -> K^T v from it until successive iterates differ by
+    at most 1e-15 in max norm, which takes one product when the formula
+    holds and its rounding does not move it by more; the start is never
+    returned as is.  Otherwise (general Moran,
+    hand-built kernels), or if that iteration has not settled within its
+    budget, one sparse direct solve gives the kernel's own law; unlike power
+    iteration or restarted Krylov solvers, it does not stall on slowly mixing
+    chains.  Either way the result is normalized and verified pi K = pi to
+    1e-12 in max norm with no entry below -1e-12.
     """
     problem = _ergodicity_problem(tm.csr)
     if problem is not None:
         raise StationaryConvergenceError(f"no unique limiting law: {problem}")
     start = _start(tm)
+    settled = False
     if start is not None:
-        pi = _product(tm.kt)(start, np.zeros(tm.dim))
-        pi = pi / pi.sum()
-        if _stationarity_problem(tm.csr, pi) is None:
-            return pi
-    pi = _solve_direct(tm.csr)
+        pi, settled = _power_iterate(tm.kt, start)
+    if not settled:
+        pi = _solve_direct(tm.csr)
     pi = pi / pi.sum()
-    problem = _stationarity_problem(tm.csr, pi)
-    if problem is not None:
-        raise StationaryConvergenceError(problem)
+    residual = float(np.max(np.abs(pi @ tm.csr - pi)))
+    # Written so that a NaN from the iteration or a singular solve fails the check.
+    if not (residual <= _STATIONARY_CHECK_TOL and pi.min() >= -_STATIONARY_CHECK_TOL):
+        raise StationaryConvergenceError(
+            f"stationarity residual {residual:.3e} (tolerance {_STATIONARY_CHECK_TOL}), "
+            f"smallest entry {pi.min():.3e}"
+        )
     return pi
 
 

@@ -5,8 +5,8 @@ The row oracles enumerate every ordered (ball-label, destination) sequence of
 one urn step and accumulate Fraction probabilities, staying deliberately
 independent of the closed-form rows in the package (no hypergeometric or
 Dirichlet-multinomial formulas here).  The stationary oracle solves the
-linear system, so it shares no closed form or acceptance test with the
-package's one product of the closed-form law; for kernels with no closed
+linear system instead of iterating, so it shares no start, stop rule or
+closed form with the package's power iteration; for kernels with no closed
 form the package runs the same solve.  The Perron oracle is the reduced
 matrix's power iteration as first written, on numpy arrays throughout, and
 the scalar Moran row is the one-state row builder as first written.  The

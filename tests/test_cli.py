@@ -27,7 +27,7 @@ from monochain import (
     stationary,
     transition_row,
 )
-from monochain import cli
+from monochain import bounds, cli
 from monochain.cli import _empirical_tv, main
 from helpers import delta_construction_matrix
 
@@ -154,6 +154,23 @@ def test_exact_single_row_curve(tmp_path, capsys):
     tm = build_matrix(Ehrenfest(6, 1, (0.3, 0.3, 0.4)))
     pi = stationary(tm)
     assert float(rows[1][1]) == pytest.approx(1 - pi[tm.index[(0, 0, 6)]], abs=1e-10)
+
+
+def test_exact_computes_no_step_counts(tmp_path, capsys, monkeypatch):
+    # exact prints each coefficient times lam^n and no step count, so what
+    # the step counts refuse (steps_to_epsilon wants 0 < lam < 1 and a
+    # finite coefficient) cannot stop the curve.
+    cfg = _write(tmp_path, dict(COUPLE, n_max=5))
+    assert main(["exact", "--config", cfg]) == 0
+    want = capsys.readouterr().out
+
+    def refused(*args):
+        raise AssertionError("step count computed")
+
+    monkeypatch.setattr(bounds, "steps_to_epsilon", refused)
+    monkeypatch.setattr(bounds, "_report_steps", refused)
+    assert main(["exact", "--config", cfg]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_exact_rejects_oversized_state_space(tmp_path, capsys):
@@ -382,8 +399,8 @@ def test_exact_at_twelve_thousand_states_in_bounded_memory(tmp_path):
 
 def test_exact_at_d5_in_bounded_memory(tmp_path):
     # N = 30, d = 5: 46,376 states and 4.8M nonzeros.  The kernel and the
-    # closed-form law's one K^T product fit a 2 GB address space; a sparse LU
-    # of the same kernel fills in beyond it.
+    # power iteration fit a 2 GB address space; a sparse LU of the same
+    # kernel fills in beyond it.
     resource = pytest.importorskip("resource")
     doc = {
         "model": {"model": "polya_level", "N": 30, "s": 2, "alpha": [1.0, 2.0, 1.5, 0.5, 1.0]},

@@ -264,34 +264,22 @@ def test_stationary_matches_lu_oracle(spec):
 
 
 def test_stationary_corrects_a_wrong_start(monkeypatch):
-    # A start that one product moves is dropped: from a point mass the result
-    # is the direct solve's law, which is the Dirichlet-multinomial one.
+    # The start only speeds convergence: from a point mass the iteration
+    # still reaches the kernel's own law, within its budget (gap 0.062, about
+    # 560 products) and to the accuracy its 1e-15 stop gives, about 1e-15/gap.
     alpha = (1.0, 2.0, 1.5)
     tm = build_matrix(PolyaLevel(10, 2, alpha))
-    direct = stationary_lu(tm.csr)
     monkeypatch.setattr(exact, "_start", lambda tm: np.eye(tm.dim)[0])
-    pi = stationary(tm)
-    assert np.max(np.abs(pi - direct)) <= 1e-13
-    err = max(abs(p - math.exp(dm_log_pmf(x, 10, alpha))) for p, x in zip(pi, tm.states))
+    monkeypatch.setattr(exact, "_solve_direct", None)
+    err = max(abs(p - math.exp(dm_log_pmf(x, 10, alpha)))
+              for p, x in zip(stationary(tm), tm.states))
     assert err <= 1e-13
 
 
-@pytest.mark.parametrize("spec", [
-    MoranStandard(200, 0.5, (0.3, 0.2, 0.5)),
-    PolyaLevel(200, 2, (1.0, 2.0, 3.0)),
-    PolyaUpDown(200, 2, (1.0, 2.0, 3.0)),
-    PolyaDownUp(200, 2, (1.0, 2.0, 3.0)),
-    Ehrenfest(200, 2, (0.3, 0.2, 0.5)),
-    MoranStandard(12, 0.999, (0.2,) * 5),
-    PolyaLevel(20, 2, (1e5,) * 5),
-], ids=["moran_standard", "polya_level", "polya_updown", "polya_downup", "ehrenfest",
-        "moran_standard_large_weights", "polya_level_large_weights"])
-def test_closed_form_stationary_law_takes_one_product(spec, monkeypatch):
-    # d = 3, N = 200 (20,301 states): the closed-form law's one K^T product
-    # passes the stationarity check, so the direct solve is never reached.
-    # It passes too at d = 5 with weights of 2.4e3 and 1e5, where lgamma's
-    # rounding lets that product move the law by 9e-15 and 9e-14.
+def _count_products(monkeypatch) -> list:
+    """Record each K^T product stationary makes; the direct solve raises."""
     products = []
+    real_product = exact._product
 
     def counted(kt):
         product = real_product(kt)
@@ -305,20 +293,53 @@ def test_closed_form_stationary_law_takes_one_product(spec, monkeypatch):
     def refused(csr):
         raise AssertionError("direct solve reached")
 
-    real_product = exact._product
     monkeypatch.setattr(exact, "_product", counted)
     monkeypatch.setattr(exact, "_solve_direct", refused)
+    return products
+
+
+@pytest.mark.parametrize("spec", [
+    MoranStandard(200, 0.5, (0.3, 0.2, 0.5)),
+    PolyaLevel(200, 2, (1.0, 2.0, 3.0)),
+    PolyaUpDown(200, 2, (1.0, 2.0, 3.0)),
+    PolyaDownUp(200, 2, (1.0, 2.0, 3.0)),
+    Ehrenfest(200, 2, (0.3, 0.2, 0.5)),
+    PolyaLevel(600, 2, (180.0,) * 3),
+], ids=["moran_standard", "polya_level", "polya_updown", "polya_downup", "ehrenfest",
+        "polya_level_at_the_cap"])
+def test_closed_form_stationary_law_takes_one_product(spec, monkeypatch):
+    # d = 3, N = 200 (20,301 states): one K^T product moves the closed-form
+    # law by at most the 1e-15 stop, so the iteration ends there and the
+    # direct solve is never reached.  N = 600 (180,901 states, the largest
+    # d = 3 space under the state cap) is where that move came closest to
+    # the stop, 4e-16, over the inputs of the tests and benchmarks.
+    products = _count_products(monkeypatch)
     pi = stationary(build_matrix(spec))
     assert len(products) == 1
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_large_weight_law_settles_by_iteration(monkeypatch):
+    # With weights of 1e5, lgamma(c + a) - lgamma(a) is a difference of
+    # numbers near 1e6, so the closed-form law carries rounding near 1e-10
+    # relative, and one K^T product moves it by 9e-14.  The iteration settles it to the kernel's own law within a few
+    # dozen products and without the direct solve.  The oracle is the exact
+    # law, prod_i C(x_i + a - 1, x_i) / C(N + 5a - 1, N) in integers.
+    n, a = 20, 100_000
+    products = _count_products(monkeypatch)
+    tm = build_matrix(PolyaLevel(n, 2, (float(a),) * 5))
+    pi = stationary(tm)
+    denominator = math.comb(n + 5 * a - 1, n)
+    want = [math.prod(math.comb(c + a - 1, c) for c in x) / denominator for x in tm.states]
+    assert 1 < len(products) <= 64
+    assert np.max(np.abs(pi - want)) <= 1e-14
+
+
 def test_nearly_periodic_kernel_is_solved_quickly(monkeypatch):
     # One self-loop of 1e-9 makes the flip aperiodic, so the graph check
-    # passes, but power iteration would settle by a factor of only 1 - 1e-9
-    # a step.  Without a closed form the direct solve answers at once; a
-    # start that is not the law moves under its one product, and the direct
-    # solve answers too.
+    # passes, but power iteration settles by a factor of only 1 - 1e-9 a
+    # step.  Without a closed form the direct solve answers at once; from a
+    # start, the iteration gives up at its budget and the solve takes over.
     tm = _hand_built([[1e-9, 1.0 - 1e-9], [1.0, 0.0]])
     t0 = time.perf_counter()
     assert np.max(np.abs(stationary(tm) - stationary_lu(tm.csr))) <= 1e-15
@@ -347,7 +368,7 @@ def test_tv_curve_starts_at_complement_of_stationary_mass():
 def test_stationary_and_tv_curve_share_one_transpose():
     tm = build_matrix(PolyaLevel(6, 1, (1.0, 2.0, 1.5)))
     pi = stationary(tm)
-    kt = vars(tm)["kt"]  # built for the closed form's one product
+    kt = vars(tm)["kt"]  # built by the power iteration from the closed form
     tv_curve(tm, (2, 2, 2), 5, pi)
     tv_curve(tm, (0, 0, 6), 5)
     assert vars(tm)["kt"] is kt
