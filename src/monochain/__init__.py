@@ -52,7 +52,6 @@ from .kernels import (
     PolyaDownUp,
     PolyaLevel,
     PolyaUpDown,
-    TransitionRow,
     UrnSpec,
     sample_step,
     spec_from_json,

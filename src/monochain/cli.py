@@ -210,8 +210,8 @@ def cmd_couple(cfg: RunConfig) -> int:
         raise ValidationError(f"start pair is not ordered: {x0} !<= {y0}")
     ed = spectral.model_eigendata(spec)
 
-    streams = [np.random.default_rng(s) for s in
-               np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)]
+    # Each replicate spawns its child seed as it starts, numbered in order as by one spawn.
+    seeds = np.random.SeedSequence(cfg.seed)
     coalescence: list[int | None] = []
     first_x: list[Composition] = []
     first_y: list[Composition] = []
@@ -224,7 +224,8 @@ def cmd_couple(cfg: RunConfig) -> int:
             out.write("replicate,step,x,y,coalesced\r\n")
         # Without a trajectories file only the first step is needed.
         keep_steps = None if out else 1
-        for rep, rng in enumerate(streams):
+        for rep in range(cfg.replicates):
+            rng = np.random.default_rng(seeds.spawn(1)[0])
             try:
                 traj, coal = coupling.run_coupled(spec, x0, y0, cfg.max_steps, rng, keep_steps)
             except CouplingOrderError:

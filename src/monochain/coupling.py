@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CouplingOrderError, ValidationError
+from .errors import CapacityError, CouplingOrderError, ValidationError
 from .kernels import ModelSpec, UrnSpec, _draws, as_integer
 from .spectral import classify_conditions
 from .statespace import Composition, partial_leq, validate_composition
@@ -101,11 +101,9 @@ def dominated_pick(v: float, w_low, w_high) -> tuple[int, int]:
 def _draw_distinct(below, n: int, k: int) -> list[int]:
     """k distinct labels from range(n): partial Fisher-Yates, storing swapped slots only.
 
-    One bounded draw per label.  One or two labels need no store: the second
-    draw lands on the first label's slot only to take slot 0's label.
+    One bounded draw per label.  Two labels need no store: the second draw
+    lands on the first label's slot only to take slot 0's label.
     """
-    if k == 1:
-        return [below(n)]
     if k == 2:
         first = below(n)
         j = 1 + below(n - 1)
@@ -252,6 +250,7 @@ def _valid_pair(spec: ModelSpec, x, y) -> tuple[Composition, Composition]:
 
     A Moran spec's mutation matrix must meet a dominated-last-row condition,
     or the rearranged mutation intervals are invalid (checked once per matrix).
+    A label range (N, or N + s up-down) beyond 2^64 raises CapacityError.
     """
     n, d = spec.N, spec.d
     x = validate_composition(x, n, d)
@@ -263,6 +262,9 @@ def _valid_pair(spec: ModelSpec, x, y) -> tuple[Composition, Composition]:
             "coupled Moran steps need a mutation matrix satisfying a "
             "dominated-last-row monotonicity condition"
         )
+    labels = n + spec.s if isinstance(spec, UrnSpec) and spec.order == "updown" else n
+    if labels > 1 << 64:
+        raise CapacityError(f"coupled draws need at most 2^64 labels, got {labels}")
     return x, y
 
 
@@ -277,8 +279,8 @@ def coupled_step(spec: ModelSpec, pair: CoupledPair, rng: np.random.Generator) -
     The step run_coupled makes, holding ``rng.bit_generator.lock`` for the
     step.  Raises ValidationError, before any draw, unless both states fit
     the spec and x <= y and a Moran spec's mutation matrix meets a
-    monotonicity condition, and CouplingOrderError if the step breaks the
-    order.
+    monotonicity condition, CapacityError, before any draw too, for labels
+    beyond 2^64, and CouplingOrderError if the step breaks the order.
     Given back the pair it returned last, with the same spec object, the
     call trusts it: a step from a valid ordered pair that passed the order
     check is one.  It reuses the draws bound for the same bit generator.

@@ -22,16 +22,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import stationary_log_pmfs
-from .errors import StationaryConvergenceError, UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, as_integer, kernel_rows
-from .statespace import (
-    DEFAULT_STATE_CAP,
-    Composition,
-    ranks,
-    state_array,
-    state_count,
-    validate_composition,
+from .errors import (
+    CapacityError,
+    StationaryConvergenceError,
+    UnknownStationaryError,
+    ValidationError,
 )
+from .kernels import ModelSpec, as_integer, kernel_rows
+from .statespace import Composition, ranks, state_array, state_count, validate_composition
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -48,6 +46,10 @@ _STATIONARY_CHECK_EVERY = 8
 _STATIONARY_POWER_BUDGET = 1 << 10
 # Floats in the block of iterates a TV curve holds at once (2 rows at least).
 _TV_BLOCK_BUDGET = 1 << 17
+# Most points a TV curve has: 128 MiB of distances.
+_TV_CURVE_CAP = 1 << 24
+# Slack in the audit's Kg(x) <= Kg(y) before a pair counts as a violation.
+_AUDIT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +82,15 @@ class TransitionMatrix:
         return self.csr.T.tocsr()
 
 
-def build_matrix(spec: ModelSpec, cap: int | None = DEFAULT_STATE_CAP) -> TransitionMatrix:
-    """Exact transition matrix of a model over its full state space.
+def build_matrix(spec: ModelSpec) -> TransitionMatrix:
+    """Exact transition matrix of a model over its full state space, within the state cap.
 
     Rows come from kernels.kernel_rows a block of states at a time; a
     successor's column is its colex rank, which is its enumeration index.
     """
     import scipy.sparse as sp
 
-    array = state_array(spec.N, spec.d, cap=cap)
+    array = state_array(spec.N, spec.d)
     lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
     for n, succ, probs in kernel_rows(spec, array):
         lengths.append(n)
@@ -222,19 +224,24 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
     one before; then one subtract, abs and row sum over the block give its
     distances.  Each row sum is the pairwise sum of 0.5 * |v - pi|.sum() on
     that row alone, so the curve has the bits of the step-by-step recurrence.
+    The start is found by matching x0 against the rows of tm.state_array.
+    A curve of more than 2^24 points raises CapacityError before any work.
     """
     x0 = validate_composition(x0, None, None)
-    if x0 not in tm.index:
+    hit = len(x0) == tm.state_array.shape[1] and (tm.state_array == x0).all(axis=1)
+    if not np.any(hit):
         raise ValidationError(f"start state {x0!r} is not in the state space")
     n_max = as_integer(n_max, "n_max")
     if n_max < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
+    if n_max >= _TV_CURVE_CAP:
+        raise CapacityError(f"TV curve too long: {n_max + 1} points (cap {_TV_CURVE_CAP})")
     if pi is None:
         pi = stationary(tm)
     product = _product(tm.kt)
     rows = min(n_max + 1, max(2, _TV_BLOCK_BUDGET // tm.dim))
     block = np.zeros((rows, tm.dim))
-    block[0, tm.index[x0]] = 1.0
+    block[0, np.argmax(hit)] = 1.0
     out = np.empty(n_max + 1)
     for lo in range(0, n_max + 1, rows):
         k = min(rows, n_max + 1 - lo)
@@ -260,8 +267,7 @@ class MonotonicityAudit:
     max_excess: float
 
 
-def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
-                       tol: float = 1e-10) -> MonotonicityAudit:
+def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0) -> MonotonicityAudit:
     """Check Kg(x) <= Kg(y) for random monotone g over all comparable pairs x <= y.
 
     Test functions accumulate nonnegative increments along the coordinate
@@ -307,7 +313,7 @@ def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0,
             g[idx] = g[pred_index[idx]].max(axis=1) + increments[idx]
         g = g[:-1]
         kg = tm.csr @ g
-        excess = kg[:, None] - kg[None, :] - tol
+        excess = kg[:, None] - kg[None, :] - _AUDIT_TOL
         bad = comparable & (excess > 0.0)
         violations += int(bad.sum())
         if bad.any():

@@ -318,27 +318,6 @@ def spec_from_json(doc: dict) -> ModelSpec:
     raise ValidationError(f"unknown model tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class TransitionRow:
-    """One row of a transition kernel: sparse map from successors to probabilities."""
-
-    source: Composition
-    probs: dict
-
-    def __post_init__(self):
-        n = sum(self.source)
-        d = len(self.source)
-        total = 0.0
-        for succ, p in self.probs.items():
-            if p <= 0.0:
-                raise ValidationError(f"row entry for {succ!r} must be > 0, got {p}")
-            if len(succ) != d or sum(succ) != n or min(succ) < 0:
-                raise ValidationError(f"successor {succ!r} is not a valid composition")
-            total += p
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError(f"row from {self.source!r} sums to {total!r}")
-
-
 # ---------------------------------------------------------------------------
 # Exact rows
 # ---------------------------------------------------------------------------
@@ -613,11 +592,11 @@ def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:
     return out
 
 
-def transition_row(spec: ModelSpec, x: Composition) -> TransitionRow:
-    """Exact one-step row for any model spec: kernel_rows on the one state x."""
+def transition_row(spec: ModelSpec, x: Composition) -> dict:
+    """Exact one-step row of any model spec, {successor: probability}: kernel_rows on x."""
     x = validate_composition(x, spec.N, spec.d)
     ((_, succ, probs),) = kernel_rows(spec, np.array([x], dtype=np.int64))
-    return TransitionRow(x, dict(zip(map(tuple, succ.tolist()), probs.tolist())))
+    return dict(zip(map(tuple, succ.tolist()), probs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +610,11 @@ def _draws(bits):
     ``next_double(state)`` is ``rng.random()``.  ``below(n)`` is one draw
     from range(n), ``rng.integers(0, n)``: Lemire's multiply-and-shift
     rejection (Lemire 2019), as numpy's Generator makes it, with 32-bit words
-    while n <= 2^32, 64-bit words beyond, and no draw at n = 1.  Values and
+    while n <= 2^32, 64-bit words up to 2^64, and no draw at n = 1.  Values and
     the generator's state afterwards equal those of the Generator methods;
-    ``below`` also raises ValueError on an empty range.  Masks and shifts are
-    literals, since ``below`` is the hottest call of a coupled step.  The
-    ctypes pointers do not keep the bit generator alive: its holder must.
+    ``below`` raises ValueError, as numpy does, on an empty range or one past
+    2^64.  Masks and shifts are literals, since ``below`` is the hottest call
+    of a coupled step.  The ctypes pointers do not keep the bit generator alive: its holder must.
     """
     next32, next64, state = bits.next_uint32, bits.next_uint64, bits.state
 
@@ -647,7 +626,7 @@ def _draws(bits):
                 while m & 0xFFFF_FFFF < threshold:
                     m = next32(state) * n
             return m >> 32
-        if n > 1:
+        if 1 < n <= 1 << 64:
             m = next64(state) * n
             if m & 0xFFFF_FFFF_FFFF_FFFF < n:
                 threshold = ((1 << 64) - n) % n

@@ -105,13 +105,11 @@ def classify_conditions(M: MutationMatrix) -> ConditionReport:
     return ConditionReport(strict, c2, c3, reduced, lam_star, a_star, error)
 
 
-def perron(m_star: np.ndarray,
-           step_tol: float = _PERRON_STEP_TOL,
-           max_iter: int = _PERRON_MAX_ITER) -> tuple[float, np.ndarray]:
+def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of the nonnegative reduced matrix by power iteration.
 
     Starts from the all-ones vector, normalizes by the max entry, and stops
-    when successive iterates agree to ``step_tol`` in max norm.  The returned
+    when successive iterates agree to 1e-14 in max norm.  The returned
     vector has max entry 1.  Raises PerronConvergenceError when the iteration
     oscillates (complex or tied dominant pair) or stalls, soon after the
     iterates start to repeat exactly (an irreducible matrix with period p > 1),
@@ -144,7 +142,7 @@ def perron(m_star: np.ndarray,
             )
         vec /= mx
         w = vec.tolist()
-        if max(map(abs, map(sub, w, v))) < step_tol:
+        if max(map(abs, map(sub, w, v))) < _PERRON_STEP_TOL:
             lam, v = mx, vec
             break
         if w == back:
@@ -326,19 +324,19 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
 def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
     """Max-norm residual of Kf - lam f = (Kf - f) + gap f over the given states.
 
-    Kf - f is formed from increments: a*.(M^T x - x)_{<d} / N for Moran, with
-    no row and all states as one array; sum p (f(y) - f(x)) over urn rows.
+    Kf - f sums p (f(y) - f(x)) over the kernel_rows of the states, as one
+    array; f(y) - f(x) is a*.(y - x)_{<d}, so no term cancels f(x) ~ N.
     """
-    states = [validate_composition(x, ed.N, ed.d) for x in states]
-    if not isinstance(spec, UrnSpec):
-        return _moran_residual(spec.M, ed, states)
-    worst = 0.0
-    for x in states:
-        fx = ed.value(x)
-        row = kernels.transition_row(spec, x)
-        kf = math.fsum(p * (ed.value(y) - fx) for y, p in row.probs.items())
-        worst = max(worst, abs(kf + ed.gap * fx))
-    return worst
+    x = np.array([validate_composition(y, spec.N, spec.d) for y in states],
+                 dtype=np.int64).reshape(-1, spec.d)
+    a = np.array(ed.a_star)
+    kf_minus_f, lo = np.zeros(len(x)), 0
+    for lengths, succ, probs in kernels.kernel_rows(spec, x):
+        row = np.repeat(np.arange(lo, lo + len(lengths)), lengths)
+        np.add.at(kf_minus_f, row, probs * ((succ - x[row])[:, :-1] @ a))
+        lo += len(lengths)
+    f = x[:, :-1] @ a + ed.f0
+    return float(np.max(np.abs(kf_minus_f + ed.gap * f), initial=0.0))
 
 
 def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:

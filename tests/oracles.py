@@ -27,7 +27,6 @@ from scipy.sparse.linalg import spsolve
 from monochain import (
     Composition,
     PerronConvergenceError,
-    TransitionRow,
     UrnSpec,
     ValidationError,
     dominated_pick,
@@ -262,8 +261,8 @@ def polya_row_oracle(kind: str, x, s, alpha) -> dict:
     return rows
 
 
-def moran_row_scalar(spec, x: Composition) -> TransitionRow:
-    """One-step row of the Moran replacement chain from x, one path at a time.
+def moran_row_scalar(spec, x: Composition) -> dict:
+    """One-step row {successor: probability} of the Moran chain from x, one path at a time.
 
     The reference for the batched Moran rows of kernels.kernel_rows: their
     entries, bits and order.
@@ -294,7 +293,7 @@ def moran_row_scalar(spec, x: Composition) -> TransitionRow:
     stay = 1.0 - off_total
     if stay > 1e-13:
         probs[x] = probs.get(x, 0.0) + stay
-    return TransitionRow(x, probs)
+    return probs
 
 
 def moran_row_oracle(x, m_rows) -> dict:

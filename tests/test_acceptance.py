@@ -185,8 +185,8 @@ def test_criterion_8_coupling_soundness():
             counts_x[out.x] = counts_x.get(out.x, 0) + 1
             counts_y[out.y] = counts_y.get(out.y, 0) + 1
             gaps[i] = ed.value(out.y) - ed.value(out.x)
-        row_x = mc.transition_row(spec, x0).probs
-        row_y = mc.transition_row(spec, y0).probs
+        row_x = mc.transition_row(spec, x0)
+        row_y = mc.transition_row(spec, y0)
         for counts, row in ((counts_x, row_x), (counts_y, row_y)):
             support = set(counts) | set(row)
             tv = 0.5 * sum(
@@ -240,14 +240,14 @@ def test_criterion_10_urn_rows_match_ordered_draw_oracle():
                 }
                 for x in mc.enumerate_states(n, d):
                     for kind, spec in specs.items():
-                        closed = mc.transition_row(spec, x).probs
+                        closed = mc.transition_row(spec, x)
                         oracle = polya_row_oracle(kind, x, s, a_d)
                         for succ in set(closed) | set(oracle):
                             err = abs(
                                 closed.get(succ, 0.0) - float(oracle.get(succ, Fraction(0)))
                             )
                             worst = max(worst, err)
-                    closed = mc.transition_row(mc.Ehrenfest(n, s, p_f), x).probs
+                    closed = mc.transition_row(mc.Ehrenfest(n, s, p_f), x)
                     oracle = ehrenfest_row_oracle(x, s, p_d)
                     for succ in set(closed) | set(oracle):
                         err = abs(closed.get(succ, 0.0) - float(oracle.get(succ, Fraction(0))))

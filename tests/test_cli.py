@@ -180,6 +180,39 @@ def test_exact_rejects_oversized_state_space(tmp_path, capsys):
     assert "state space too large" in err and "reduce N" in err
 
 
+def test_exact_refuses_an_overlong_curve_with_exit_3(tmp_path):
+    # A curve of 10^12 points would need 7.3 TiB; it is refused before any
+    # allocation, in a child whose address space is capped at 2 GB.
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "monochain.cli", "exact", "--config",
+         str(CONFIG_DIR / "couple_small.json"), "--n-max", str(10**12)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "TV curve too long" in proc.stderr
+
+
+def test_couple_makes_each_generator_as_its_replicate_starts(tmp_path, capsys, monkeypatch):
+    # Replicate k runs with k + 1 generators made, not all of them up front;
+    # the pinned digests below check that the streams are unchanged.
+    made, seen = [], []
+    default_rng, run_coupled = np.random.default_rng, coupling.run_coupled
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: made.append(None) or default_rng(*args))
+    monkeypatch.setattr(coupling, "run_coupled",
+                        lambda *args: seen.append(len(made)) or run_coupled(*args))
+    assert main(["couple", "--config", _write(tmp_path, COUPLE)]) == 0
+    assert seen == [1, 2, 3]
+
+
 def test_couple_summary_and_trajectories(tmp_path, capsys):
     doc = {
         "model": {"model": "polya_level", "N": 6, "s": 2, "alpha": [1.0, 2.0, 1.5]},
@@ -478,7 +511,7 @@ def test_exact_loads_scipy_on_first_use():
 ], ids=["moran_general", "moran_standard", "polya_level", "polya_updown", "polya_downup",
         "ehrenfest"])
 def test_marginal_tv_matches_full_row(spec, x):
-    row = transition_row(spec, x).probs
+    row = transition_row(spec, x)
     rng = np.random.default_rng(17)
     for n in (1, 7, 400):
         samples = [sample_step(spec, x, rng) for _ in range(n)]

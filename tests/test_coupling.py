@@ -4,11 +4,13 @@ import math
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from monochain import (
+    CapacityError,
     CoupledPair,
     CouplingOrderError,
     Ehrenfest,
@@ -536,6 +538,13 @@ def test_bit_stream_draws_match_the_generator_methods(bit_generator):
             continue
         if t % 4 == 0:
             n = EDGE_BOUNDS[(t // 4) % len(EDGE_BOUNDS)]
+        elif t % 4 == 2:
+            # Ranges past int64, drawn as uint64 by numpy.
+            n = 2**63 + int(picks.integers(1, 2**63, endpoint=True, dtype=np.uint64))
+            if t % 40 == 2:
+                n = (2**63 + 1, 2**64)[t % 80 == 2]
+            assert below(n) == int(twin.integers(0, n, dtype=np.uint64)), n
+            continue
         else:
             n = int(picks.integers(1, 2 ** int(picks.integers(1, 64))))
         assert below(n) == int(twin.integers(0, n)), n
@@ -544,6 +553,49 @@ def test_bit_stream_draws_match_the_generator_methods(bit_generator):
     with pytest.raises(ValueError):
         below(0)
     assert plain_state(rng.bit_generator.state) == plain_state(twin.bit_generator.state)
+
+
+def test_below_refuses_a_range_beyond_2_64_without_a_draw():
+    # numpy refuses such a range; no 64-bit word reaches the rejection
+    # threshold, so a draw loop would never end.
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).integers(0, 2**64 + 1, dtype=np.uint64)
+
+    def draw(state):
+        raise AssertionError("drew a word")
+
+    bits = SimpleNamespace(next_uint32=draw, next_uint64=draw, next_double=draw, state=None)
+    below = _draws(bits)[0]
+    for n in (2**64 + 1, 2**65, 3**50):
+        with pytest.raises(ValueError, match="range"):
+            below(n)
+
+
+@pytest.mark.parametrize("spec, pair", [
+    (PolyaLevel(2**64 + 1, 2, (1.0, 2.0)), ((0, 2**64 + 1), (1, 2**64))),
+    (PolyaUpDown(2**64, 1, (1.0, 2.0)), ((0, 2**64), (1, 2**64 - 1))),
+    (MoranStandard(2**64 + 1, 0.5, (0.5, 0.5)), ((0, 2**64 + 1), (1, 2**64))),
+], ids=["level", "updown-N+s", "moran"])
+def test_coupled_draws_beyond_2_64_labels_are_refused_without_a_draw(spec, pair):
+    # No 64-bit bounded draw covers such a label range: both entry points
+    # refuse it before drawing, where the draw loop would never end.
+    rng = np.random.default_rng(86)
+    before = rng.bit_generator.state
+    # The shared check first, so that code without it fails here, not in a
+    # draw loop that never ends.
+    with pytest.raises(CapacityError, match="2\\^64"):
+        coupling._valid_pair(spec, *pair)
+    with pytest.raises(CapacityError, match="2\\^64"):
+        coupled_step(spec, CoupledPair(*pair), rng)
+    with pytest.raises(CapacityError, match="2\\^64"):
+        run_coupled(spec, *pair, 1, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_coupled_step_at_2_64_labels_runs():
+    pair = CoupledPair((0, 2**64), (1, 2**64 - 1))
+    got = coupled_step(PolyaLevel(2**64, 2, (1.0, 2.0)), pair, np.random.default_rng(87))
+    assert sum(got.x) == sum(got.y) == 2**64 and got.x[0] <= got.y[0]
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: type(spec).__name__)

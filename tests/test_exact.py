@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import monochain
 from monochain import (
+    CapacityError,
     Ehrenfest,
     MoranGeneral,
     MoranStandard,
@@ -74,10 +75,10 @@ def test_batched_rows_equal_single_rows(n, d, budget, monkeypatch):
         for spec in _all_families(n, d, s, rng):
             tm = build_matrix(spec)
             for i, x in enumerate(tm.states):
-                assert _csr_row(tm, i) == list(transition_row(spec, x).probs.items())
+                assert _csr_row(tm, i) == list(transition_row(spec, x).items())
                 if isinstance(spec, (MoranGeneral, MoranStandard)):
                     scalar = moran_row_scalar(spec, x)
-                    assert _csr_row(tm, i) == list(scalar.probs.items())
+                    assert _csr_row(tm, i) == list(scalar.items())
 
 
 @pytest.mark.parametrize("ctor,weights", [
@@ -465,7 +466,7 @@ def test_build_matrix_keeps_the_state_array():
 
 def test_tv_curve_on_a_permuted_state_space():
     # A hand-built kernel over its states in shuffled order gives the same
-    # curve: the start is found through index, not by enumeration order.
+    # curve: the start is found in the state array, not by enumeration order.
     tm = build_matrix(PolyaUpDown(6, 2, (1.5, 3.0, 1.5)))
     pi = stationary(tm)
     x0 = (0, 0, 6)
@@ -484,6 +485,40 @@ def test_tv_curve_on_a_permuted_state_space():
     for bad in (moved.states[0], (7, 0, 0), (3, 3), (6, 0, 0, 0)):
         with pytest.raises(ValidationError, match="not in the state space"):
             tv_curve(partial, bad, 5, pi[perm][1:])
+
+
+def test_tv_curve_reads_no_state_tuples_or_index(monkeypatch):
+    # The start is matched against the state array, canonical or permuted,
+    # so a curve forms neither tm.states nor tm.index.
+    tm = build_matrix(PolyaUpDown(6, 2, (1.5, 3.0, 1.5)))
+    pi, x0 = stationary(tm), (0, 0, 6)
+    perm = np.random.default_rng(7).permutation(tm.dim)
+    moved = TransitionMatrix(spec=None, csr=tm.csr[perm][:, perm].tocsr(),
+                             state_array=tm.state_array[perm])
+    want = [tv_curve(tm, x0, 40, pi), tv_curve(moved, x0, 40, pi[perm])]
+
+    def refused(self):
+        raise AssertionError("state tuples or index formed")
+
+    monkeypatch.setattr(TransitionMatrix, "states", property(refused))
+    monkeypatch.setattr(TransitionMatrix, "index", property(refused))
+    fresh = [TransitionMatrix(spec=m.spec, csr=m.csr, state_array=m.state_array)
+             for m in (tm, moved)]
+    assert np.array_equal(tv_curve(fresh[0], x0, 40, pi), want[0])
+    assert np.array_equal(tv_curve(fresh[1], x0, 40, pi[perm]), want[1])
+
+
+def test_tv_curve_refuses_an_overlong_curve_before_any_work(monkeypatch):
+    tm = build_matrix(Ehrenfest(4, 1, (0.3, 0.3, 0.4)))
+
+    def refused(*args):
+        raise AssertionError("stationary law solved")
+
+    monkeypatch.setattr(exact, "stationary", refused)
+    monkeypatch.setattr(exact, "_product", refused)
+    for n_max in (exact._TV_CURVE_CAP, 10**12):
+        with pytest.raises(CapacityError, match="TV curve too long"):
+            tv_curve(tm, (0, 0, 4), n_max)
 
 
 def test_tv_curve_rejects_foreign_state():

@@ -52,7 +52,7 @@ M2 = MutationMatrix([[0.9, 0.1], [0.2, 0.8]])
 def test_moran_row_two_species_case():
     # Direct substitution: K((1,1), (2,0)) = (1/2)(0.5*0.9 + 0.5*0.2) = 0.275, etc.
     row = transition_row(MoranGeneral(2, M2), (1, 1))
-    assert row.probs == pytest.approx({(2, 0): 0.275, (0, 2): 0.225, (1, 1): 0.5})
+    assert row == pytest.approx({(2, 0): 0.275, (0, 2): 0.225, (1, 1): 0.5})
 
 
 def test_moran_row_against_label_enumeration():
@@ -60,7 +60,7 @@ def test_moran_row_against_label_enumeration():
     spec = MoranGeneral(3, MutationMatrix(m))
     m_frac = [[Fraction(str(v)) for v in row] for row in m]
     for x in enumerate_states(3, 3):
-        closed = transition_row(spec, x).probs
+        closed = transition_row(spec, x)
         oracle = moran_row_oracle(x, m_frac)
         for succ in set(closed) | set(oracle):
             assert closed.get(succ, 0.0) == pytest.approx(
@@ -83,9 +83,9 @@ def test_rows_sum_to_one_random_cases():
         spec = MoranGeneral(n, random_positive_matrix(rng, d))
         x = random_state(rng, n, d)
         row = transition_row(spec, x)
-        assert math.fsum(row.probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(p > 0 for p in row.probs.values())
-        assert all(sum(y) == n and min(y) >= 0 for y in row.probs)
+        assert math.fsum(row.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(p > 0 for p in row.values())
+        assert all(sum(y) == n and min(y) >= 0 for y in row)
 
 
 def test_standard_rows_match_general_expansion():
@@ -94,12 +94,12 @@ def test_standard_rows_match_general_expansion():
     general = MoranGeneral(spec.N, spec.M)
     for _ in range(20):
         x = random_state(rng, 5, 3)
-        assert transition_row(spec, x).probs == transition_row(general, x).probs
+        assert transition_row(spec, x) == transition_row(general, x)
 
 
 def test_ehrenfest_full_redistribution_forgets_state():
     spec = Ehrenfest(3, 3, (0.5, 0.25, 0.25))
-    rows = [transition_row(spec, x).probs for x in enumerate_states(3, 3)]
+    rows = [transition_row(spec, x) for x in enumerate_states(3, 3)]
     for other in rows[1:]:
         assert other.keys() == rows[0].keys()
         for succ in rows[0]:
@@ -108,18 +108,18 @@ def test_ehrenfest_full_redistribution_forgets_state():
 
 def test_ehrenfest_two_urn_case():
     row = transition_row(Ehrenfest(2, 1, (0.5, 0.5)), (2, 0))
-    assert row.probs == pytest.approx({(2, 0): 0.5, (1, 1): 0.5})
+    assert row == pytest.approx({(2, 0): 0.5, (1, 1): 0.5})
 
 
 def test_polya_level_single_ball_case():
     # Remove the one ball, add with weights (alpha + x) / 3: 2/3 vs 1/3.
     row = transition_row(PolyaLevel(1, 1, (1.0, 1.0)), (1, 0))
-    assert row.probs == pytest.approx({(1, 0): 2 / 3, (0, 1): 1 / 3})
+    assert row == pytest.approx({(1, 0): 2 / 3, (0, 1): 1 / 3})
 
 
 def test_polya_downup_full_swap_forgets_state():
     spec = PolyaDownUp(3, 3, (1.0, 2.0))
-    rows = [transition_row(spec, x).probs for x in enumerate_states(3, 2)]
+    rows = [transition_row(spec, x) for x in enumerate_states(3, 2)]
     for other in rows[1:]:
         for succ in rows[0]:
             assert other[succ] == pytest.approx(rows[0][succ], abs=1e-14)
@@ -134,7 +134,7 @@ def test_polya_rows_match_ordered_draw_oracle(kind, ctor):
     alpha = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     spec = ctor(3, 2, tuple(float(a) for a in alpha))
     for x in enumerate_states(3, 3):
-        closed = transition_row(spec, x).probs
+        closed = transition_row(spec, x)
         oracle = polya_row_oracle(kind, x, 2, alpha)
         assert set(closed) == {k for k, v in oracle.items() if v > 0}
         for succ, pr in oracle.items():
@@ -145,7 +145,7 @@ def test_ehrenfest_rows_match_ordered_draw_oracle():
     p = (Fraction(1, 4), Fraction(3, 4))
     spec = Ehrenfest(3, 2, tuple(float(v) for v in p))
     for x in enumerate_states(3, 2):
-        closed = transition_row(spec, x).probs
+        closed = transition_row(spec, x)
         oracle = ehrenfest_row_oracle(x, 2, p)
         for succ, pr in oracle.items():
             assert closed.get(succ, 0.0) == pytest.approx(float(pr), abs=1e-13)
@@ -165,7 +165,7 @@ def test_transition_prob_matches_row_entries():
     for spec in specs:
         states = enumerate_states(spec.N, spec.d)
         for x in states:
-            row = transition_row(spec, x).probs
+            row = transition_row(spec, x)
             for z in states:
                 assert transition_prob(spec, x, z) == pytest.approx(row.get(z, 0.0), abs=1e-15)
 
@@ -187,7 +187,7 @@ def test_moran_transition_prob_equals_row_entries_exactly():
                          MoranStandard(n, 0.3, random_prob_vector(rng, d))):
                 for k in rng.choice(len(states), size=min(len(states), 12), replace=False):
                     x = states[k]
-                    row = transition_row(spec, x).probs
+                    row = transition_row(spec, x)
                     for z in states:
                         assert transition_prob(spec, x, z) == row.get(z, 0.0), (spec, x, z)
 
@@ -196,14 +196,14 @@ def test_moran_transition_prob_at_zero_stay_and_out_of_reach():
     # From (1, 0) the only individual dies and its offspring always mutates:
     # every path moves, so the stay mass is 0 and the row holds no stay entry.
     spec = MoranGeneral(1, MutationMatrix([[0.0, 1.0], [1.0, 0.0]]))
-    assert transition_row(spec, (1, 0)).probs == {(0, 1): 1.0}
+    assert transition_row(spec, (1, 0)) == {(0, 1): 1.0}
     assert transition_prob(spec, (1, 0), (1, 0)) == 0.0
     assert transition_prob(spec, (1, 0), (0, 1)) == 1.0
     # One Moran step moves one individual: x + e0 - e1 + e2 - e3 is two moves away.
     spec = MoranGeneral(8, random_positive_matrix(np.random.default_rng(42), 4))
     x = (2, 2, 2, 2)
     assert transition_prob(spec, x, (3, 1, 3, 1)) == 0.0
-    assert (3, 1, 3, 1) not in transition_row(spec, x).probs
+    assert (3, 1, 3, 1) not in transition_row(spec, x)
 
 
 def test_step_vectors_are_shared_and_read_only():
@@ -376,7 +376,7 @@ def _empirical_tv(spec, x, n, seed):
     for _ in range(n):
         y = sample_step(spec, x, rng)
         counts[y] = counts.get(y, 0) + 1
-    row = transition_row(spec, x).probs
+    row = transition_row(spec, x)
     support = set(counts) | set(row)
     return 0.5 * sum(abs(counts.get(z, 0) / n - row.get(z, 0.0)) for z in support)
 

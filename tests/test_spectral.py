@@ -253,14 +253,39 @@ def test_moran_increment_residual_matches_the_row_form():
                      MoranStandard(n, 0.6, tuple(np.full(d, 1.0 / d)))):
             ed = model_eigendata(spec)
             for x in enumerate_states(n, d):
-                row = moran_row_scalar(spec, x).probs
+                row = moran_row_scalar(spec, x)
                 by_row = math.fsum(p * ed.value(y) for y, p in row.items()) - ed.lam * ed.value(x)
-                assert eigen_residual(spec, ed, [x]) == pytest.approx(abs(by_row), abs=1e-12)
+                assert spectral._moran_residual(spec.M, ed, [x]) == pytest.approx(
+                    abs(by_row), abs=1e-12)
 
 
 # Strictly dominated, with enough mass in the last row that each mutation
 # below moves the residual past the 1e-10 tolerance at N = 50.
 _HEAVY_LAST_ROW = [[0.6, 0.3, 0.1], [0.35, 0.5, 0.15], [0.3, 0.25, 0.45]]
+
+
+@pytest.mark.parametrize("spec", [
+    MoranGeneral(10, MutationMatrix(_HEAVY_LAST_ROW)),
+    MoranStandard(10, 0.6, (0.2, 0.3, 0.5)),
+], ids=["general", "standard"])
+def test_eigen_residual_reads_the_kernel_rows(monkeypatch, spec):
+    # A kernel that has lost 1e-3 of mass from the first path of every row
+    # to its second no longer has f as an eigenfunction, and the residual,
+    # formed from the rows themselves, says so.
+    ed, states = model_eigendata(spec), enumerate_states(10, 3)
+    assert eigen_residual(spec, ed, states) <= 1e-12
+    real = kernels._moran_paths
+
+    def moved(spec, x):
+        row, path, prob = real(spec, x)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        prob = prob.copy()
+        prob[first] -= 1e-3
+        prob[first + 1] += 1e-3
+        return row, path, prob
+
+    monkeypatch.setattr(kernels, "_moran_paths", moved)
+    assert eigen_residual(spec, ed, states) > 1e-4
 
 
 @pytest.mark.parametrize("mutate", [
@@ -283,6 +308,7 @@ def test_general_moran_eigendata_builds_no_kernel_row(monkeypatch):
         raise AssertionError("kernel row built")
 
     monkeypatch.setattr(kernels, "transition_row", refuse)
+    monkeypatch.setattr(kernels, "kernel_rows", refuse)
     build_eigenfunction(delta_construction_matrix(0.05), 10**5)
     model_eigendata(MoranGeneral(100, MutationMatrix(_HEAVY_LAST_ROW)))
 
