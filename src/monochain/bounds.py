@@ -27,13 +27,15 @@ from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundReport:
     """Coefficients and step counts for a target accuracy epsilon.
 
     ``steps_necessary`` comes from the lower bound (fewer steps provably leave
     TV above epsilon), ``steps_sufficient`` from the upper bound.  The crude
     fields are None when the stationary law is unknown (general Moran).
+    Slotted, not frozen, like EigenData: each report is built fresh for its
+    caller.
     """
 
     lam: float

@@ -8,7 +8,8 @@ Subcommands:
 
 A run is configured by a single JSON document (--config) with optional flag
 overrides.  Exit codes: 0 success, 2 validation failure, 3 capability failure
-(state space over the cap, unknown stationary law, failed monotonicity).
+(state space over the cap, unknown stationary law, failed monotonicity, a
+coefficient or step count beyond the float range).
 """
 from __future__ import annotations
 
@@ -47,7 +48,11 @@ from .kernels import (
 )
 from .statespace import Composition, partial_leq, validate_composition
 
+# OverflowError: the crude coefficient exp(-log pi(x) / 2) / 2 past the
+# float range (MoranStandard(5000, 0.5, (0.5, 0.5)) from (5000, 0)), or a
+# step count coeff / epsilon that is inf (epsilon = 1e-300).
 _CAPABILITY_ERRORS = (
+    OverflowError,
     CapacityError,
     UnknownStationaryError,
     NoMonotoneConditionError,

@@ -171,13 +171,17 @@ def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float,
     return lam, v
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EigenData:
     """Second eigenvalue and strictly monotone linear eigenfunction.
 
     f(x) = sum_{i<d} a_star[i] * x_i + f0 with f0 = N * a_d; c1 is the minimal
     increment of f along the dominance order and c2 = sup |f|.  gap = 1 - lam
     from the family's closed form, with the low bits lam drops at large N.
+
+    Slotted, not frozen: each call that returns one builds it fresh, and no
+    cache or record holds one, so freezing guarded nothing; a frozen __init__
+    sets each field through object.__setattr__, at several times the cost.
     """
 
     lam: float

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -354,3 +355,18 @@ def test_vectorised_log_pmf_unknown_for_general_moran():
     spec = MoranGeneral(4, delta_construction_matrix(0.05))
     with pytest.raises(UnknownStationaryError):
         stationary_log_pmfs(spec, np.array(enumerate_states(4, 3)))
+
+
+def test_bound_report_checks_replace_and_equality():
+    spec, x = PolyaDownUp(100, 1, (180.0,) * 5), (0, 10, 0, 10, 80)
+    report = bound_report(spec, x, 0.01)
+    with pytest.raises(ValidationError, match="lower coefficient"):
+        dataclasses.replace(report, lower_coeff=report.upper_coeff * 2)
+    with pytest.raises(ValidationError, match="necessary steps"):
+        dataclasses.replace(report, steps_necessary=report.steps_sufficient + 1)
+    again = bound_report(spec, x, 0.01)
+    assert again == report and again is not report
+    looser = dataclasses.replace(report, epsilon=0.1)
+    assert looser != report and looser.to_json_dict()["epsilon"] == 0.1
+    # Slotted: no per-instance dict.
+    assert not hasattr(report, "__dict__")

@@ -200,6 +200,26 @@ def test_exact_refuses_an_overlong_curve_with_exit_3(tmp_path):
     assert "TV curve too long" in proc.stderr
 
 
+# The crude coefficient exp(-log pi(x) / 2) / 2 at this start is past the float range.
+OVERFLOWING_CRUDE = {
+    "model": {"model": "moran_standard", "N": 5000, "m": 0.5, "p": [0.5, 0.5]},
+    "start": [5000, 0],
+}
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    (OVERFLOWING_CRUDE, ["bounds"], "math range error"),
+    (OVERFLOWING_CRUDE, ["exact"], "math range error"),
+    # crude_coeff / epsilon = 2.2e19 / 1e-300 is inf, so no step count exists.
+    (HUBBELL, ["bounds", "--epsilon", "1e-300"], "infinity"),
+], ids=["bounds", "exact", "bounds_tiny_epsilon"])
+def test_overflow_exits_3_with_one_error_line(tmp_path, capsys, doc, argv, message):
+    assert main(argv + ["--config", _write(tmp_path, doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_couple_makes_each_generator_as_its_replicate_starts(tmp_path, capsys, monkeypatch):
     # Replicate k runs with k + 1 generators made, not all of them up front;
     # the pinned digests below check that the streams are unchanged.

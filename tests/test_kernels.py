@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -505,6 +506,23 @@ def test_urn_constructors_share_one_spec():
             UrnSpec(5, 2, (0.25, 0.75), order, reinforced)
     with pytest.raises(ValidationError, match="must sum to 1"):
         Ehrenfest(5, 2, (1.0, 2.0))
+
+
+def test_specs_stay_frozen():
+    # The one-slot records of sample_step and coupled_step trust `spec is last_spec`.
+    specs = [
+        MoranGeneral(4, M2),
+        MoranStandard(10, 0.7, (0.2, 0.3, 0.5)),
+        PolyaLevel(5, 2, (1.0, 2.0)),
+        Ehrenfest(6, 3, (0.25, 0.75)),
+    ]
+    for spec in specs:
+        n = spec.N
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.N = n + 1
+        assert spec.N == n
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        specs[2].weights = (2.0, 1.0)
 
 
 def test_standard_spec_and_its_general_twin_agree():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import traceback
 
@@ -412,3 +413,29 @@ def test_bounds_invariant_under_eigenfunction_rescaling():
     )
     x = (1, 3, 4)
     assert tv_bound_coefficients(scaled, x) == pytest.approx(tv_bound_coefficients(ed, x), rel=1e-12)
+
+
+def test_eigendata_checks_replace_and_equality():
+    ed = model_eigendata(PolyaLevel(8, 2, (1.0, 2.0, 1.5)))
+    for bad in ({"lam": 1.0}, {"lam": -1e-12}, {"lam": math.nan},
+                {"a_star": (1.0, 0.0)}, {"a_star": (-1.0, 1.0)},
+                {"c1": 0.0}, {"c2": -1.0}):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(ed, **bad)
+    again = model_eigendata(PolyaLevel(8, 2, (1.0, 2.0, 1.5)))
+    assert again == ed and again is not ed
+    moved = dataclasses.replace(ed, lam=0.5)
+    assert moved.lam == 0.5 and moved != ed and moved.a_star == ed.a_star
+    assert moved.to_json_dict() == {**ed.to_json_dict(), "lambda": 0.5}
+    # Slotted: no per-instance dict.
+    assert not hasattr(ed, "__dict__")
+
+
+def test_condition_reports_stay_frozen():
+    # classify_conditions hands its kept report to every caller.
+    M = MutationMatrix(_HEAVY_LAST_ROW)
+    report = classify_conditions(M)
+    assert classify_conditions(M) is report
+    for name in ("c1_holds", "lam_star", "a_star"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
