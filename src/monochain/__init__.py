@@ -12,9 +12,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     crude_bound,
-    dm_log_pmf,
-    multinomial_log_pmf,
-    stationary_log_pmf,
     steps_to_epsilon,
     tv_bound_coefficients,
 )
@@ -36,10 +33,8 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    MonotonicityAudit,
     TransitionMatrix,
     build_matrix,
-    monotonicity_audit,
     stationary,
     tv_curve,
 )
@@ -63,7 +58,6 @@ from .spectral import (
     EigenData,
     build_eigenfunction,
     classify_conditions,
-    eigen_residual,
     model_eigendata,
     perron,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec, as_integer, as_real
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec
 from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
@@ -105,44 +105,13 @@ def steps_to_epsilon(coeff: float, lam: float, epsilon: float) -> int:
     return n
 
 
-def dm_log_pmf(x, n_total: int, alpha) -> float:
-    """Log Dirichlet-multinomial pmf of counts x under weights alpha.
+def _dm_log_pmf(x, n_total: int, alpha, total: float) -> float:
+    """Log Dirichlet-multinomial pmf of counts x (sum N) under weights alpha (sum total).
 
     Exponentiates to prod_i C(x_i + alpha_i - 1, x_i) / C(N + |alpha| - 1, N)
-    for integer weights; the log-gamma form below extends that to real
-    weights and avoids overflow.
+    for integer weights; the log-gamma form extends that to real weights and
+    avoids overflow.
     """
-    x, alpha = _counts_and_weights(x, n_total, alpha, "alpha")
-    return _dm_log_pmf(x, n_total, alpha, math.fsum(alpha))
-
-
-def multinomial_log_pmf(x, n_total: int, p) -> float:
-    """Log multinomial pmf of counts x under cell probabilities p."""
-    x, p = _counts_and_weights(x, n_total, p, "p")
-    return _multinomial_log_pmf(x, n_total, p)
-
-
-def _counts_and_weights(x, n_total: int, weights, name: str):
-    """(x, weights) as tuples, checked by the rules the specs use.
-
-    x holds integer counts >= 0 summing to N, and weights one positive,
-    finite real per count; a single count (d = 1) is allowed.
-    """
-    x = tuple(as_integer(c, "count") for c in x)
-    if any(c < 0 for c in x):
-        raise ValidationError(f"counts must be >= 0, got {x!r}")
-    if sum(x) != n_total:
-        raise ValidationError(f"counts {x!r} do not sum to N={n_total}")
-    weights = tuple(as_real(w, f"{name} entry") for w in weights)
-    if len(weights) != len(x):
-        raise ValidationError(f"{name} and x must have the same length")
-    if not all(0.0 < w < math.inf for w in weights):
-        raise ValidationError(f"{name} entries must be positive and finite, got {weights!r}")
-    return x, weights
-
-
-def _dm_log_pmf(x, n_total: int, alpha, total: float) -> float:
-    """dm_log_pmf with checked inputs and total = fsum(alpha)."""
     out = math.lgamma(n_total + 1) + math.lgamma(total) - math.lgamma(n_total + total)
     for xi, ai in zip(x, alpha):
         out += math.lgamma(xi + ai) - math.lgamma(xi + 1) - math.lgamma(ai)
@@ -150,7 +119,7 @@ def _dm_log_pmf(x, n_total: int, alpha, total: float) -> float:
 
 
 def _multinomial_log_pmf(x, n_total: int, p) -> float:
-    """multinomial_log_pmf with checked inputs."""
+    """Log multinomial pmf of counts x (sum N) under cell probabilities p."""
     out = math.lgamma(n_total + 1)
     for xi, pi in zip(x, p):
         out -= math.lgamma(xi + 1)
@@ -182,13 +151,8 @@ def _closed_form(spec: ModelSpec) -> tuple[tuple[float, ...], float, bool]:
     )
 
 
-def stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
-    """Log stationary mass at x, where a closed form is known (see _closed_form)."""
-    return _stationary_log_pmf(spec, validate_composition(x, spec.N, spec.d))
-
-
 def _stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
-    """stationary_log_pmf at a validated state."""
+    """Log stationary mass at a validated state x, where a closed form is known (see _closed_form)."""
     weights, total, reinforced = _closed_form(spec)
     if reinforced:
         return _dm_log_pmf(x, spec.N, weights, total)
@@ -196,10 +160,10 @@ def _stationary_log_pmf(spec: ModelSpec, x: Composition) -> float:
 
 
 def stationary_log_pmfs(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
-    """stationary_log_pmf at every row of a states array.
+    """_stationary_log_pmf at every row of a states array.
 
-    The per-coordinate terms of dm_log_pmf or multinomial_log_pmf are tabled
-    over the counts 0..N with math.lgamma and indexed by the states.
+    The per-coordinate terms of _dm_log_pmf or _multinomial_log_pmf are
+    tabled over the counts 0..N with math.lgamma and indexed by the states.
     """
     weights, total, reinforced = _closed_form(spec)
     n = spec.N

@@ -8,8 +8,8 @@ Subcommands:
 
 A run is configured by a single JSON document (--config) with optional flag
 overrides.  Exit codes: 0 success, 2 validation failure, 3 capability failure
-(state space over the cap, unknown stationary law, failed monotonicity, a
-coefficient or step count beyond the float range).
+(state space over the cap, unknown stationary law, failed monotonicity, an
+urn addition law, coefficient or step count beyond the float range).
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ from .statespace import Composition, partial_leq, validate_composition
 
 # OverflowError: the crude coefficient exp(-log pi(x) / 2) / 2 past the
 # float range (MoranStandard(5000, 0.5, (0.5, 0.5)) from (5000, 0)), or a
-# step count coeff / epsilon that is inf (epsilon = 1e-300).
+# step count coeff / epsilon that is inf (epsilon = 1e-300).  Its message
+# names no cause, so main prefixes one.
 _CAPABILITY_ERRORS = (
     OverflowError,
     CapacityError,
@@ -178,10 +179,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_exact(cfg: RunConfig) -> int:
-    try:
-        tm = exact.build_matrix(cfg.spec)
-    except CapacityError as exc:
-        raise CapacityError(f"{exc}; reduce N or d for an exact curve") from exc
+    tm = exact.build_matrix(cfg.spec)
     lam, lower, upper, crude = bounds_mod.bound_coefficients(cfg.spec, cfg.start)
     curve = exact.tv_curve(tm, cfg.start, cfg.n_max)
 
@@ -357,7 +355,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _CAPABILITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cause = f"value beyond the float range ({exc})" if isinstance(exc, OverflowError) else exc
+        print(f"error: {cause}", file=sys.stderr)
         return 3
     except MonochainError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

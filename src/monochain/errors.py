@@ -15,7 +15,8 @@ class ValidationError(MonochainError, ValueError):
 
 
 class CapacityError(MonochainError):
-    """State space exceeds the configured enumeration cap."""
+    """Beyond what the program computes: a state space or TV curve over its cap,
+    a label range past 2^64, or an urn addition law past the float range."""
 
 
 class PerronConvergenceError(MonochainError):

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import ModelSpec, as_integer, kernel_rows
-from .statespace import Composition, ranks, state_array, state_count, validate_composition
+from .statespace import Composition, ranks, state_array, validate_composition
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -48,8 +48,6 @@ _STATIONARY_POWER_BUDGET = 1 << 10
 _TV_BLOCK_BUDGET = 1 << 17
 # Most points a TV curve has: 128 MiB of distances.
 _TV_CURVE_CAP = 1 << 24
-# Slack in the audit's Kg(x) <= Kg(y) before a pair counts as a violation.
-_AUDIT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,72 +253,3 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         out[lo:lo + k] = 0.5 * dist.sum(axis=1)
         block.fill(0.0)
     return out
-
-
-@dataclass(frozen=True)
-class MonotonicityAudit:
-    """Result of a randomized stochastic-monotonicity audit."""
-
-    trials: int
-    comparable_pairs: int
-    violations: int
-    max_excess: float
-
-
-def monotonicity_audit(tm: TransitionMatrix, trials: int, seed: int = 0) -> MonotonicityAudit:
-    """Check Kg(x) <= Kg(y) for random monotone g over all comparable pairs x <= y.
-
-    Test functions accumulate nonnegative increments along the coordinate
-    grid of the first d-1 counts, so they are monotone by construction; the
-    seed makes the audit deterministic.  A monotone kernel produces zero
-    violations; a non-monotone one may be caught (the audit is a randomized
-    search, not a proof of monotonicity).
-    """
-    if tm.dim > 2_000:
-        raise ValidationError(f"audit limited to 2000 states, got {tm.dim}")
-    states = tm.state_array
-    d = states.shape[1]
-    prefix = states[:, : d - 1]
-    comparable = np.all(prefix[:, None, :] <= prefix[None, :, :], axis=2)
-    np.fill_diagonal(comparable, False)
-    n_pairs = int(comparable.sum())
-
-    # Predecessor x - e_i + e_d of each state for i < d - 1, by colex rank
-    # mapped to its row in tm.state_array, which need not be in enumeration
-    # order; where x_i = 0 it points at a zero sentinel.
-    n_total = int(states[0].sum())
-    rank = ranks(states, n_total)
-    position = np.argsort(rank)
-    if tm.dim != state_count(n_total, d) or not np.array_equal(rank[position],
-                                                              np.arange(tm.dim)):
-        raise ValidationError("audit needs every composition of N as a state")
-    has_pred = prefix > 0
-    preds = states[:, None, :] - np.eye(d, dtype=np.int64)[None, : d - 1]
-    preds[..., d - 1] += 1
-    preds = np.where(has_pred[..., None], preds, states[:, None, :])
-    pred_index = np.where(has_pred, position[ranks(preds, n_total)], tm.dim)
-    # Predecessors sit one prefix level down, so the levels fill in order.
-    level = prefix.sum(axis=1)
-    levels = [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]
-    rng = np.random.default_rng(seed)
-
-    violations = 0
-    max_excess = 0.0
-    for _ in range(trials):
-        increments = rng.random(tm.dim)
-        g = np.zeros(tm.dim + 1)
-        for idx in levels:
-            g[idx] = g[pred_index[idx]].max(axis=1) + increments[idx]
-        g = g[:-1]
-        kg = tm.csr @ g
-        excess = kg[:, None] - kg[None, :] - _AUDIT_TOL
-        bad = comparable & (excess > 0.0)
-        violations += int(bad.sum())
-        if bad.any():
-            max_excess = max(max_excess, float(excess[bad].max()))
-    return MonotonicityAudit(
-        trials=trials,
-        comparable_pairs=n_pairs,
-        violations=violations,
-        max_excess=max_excess,
-    )

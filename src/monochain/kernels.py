@@ -17,8 +17,9 @@ pairs: polya_level (level, True), polya_updown (updown, True), polya_downup
 (downup, True) and ehrenfest (downup, False).  Their rows collapse to closed
 forms: multivariate hypergeometric removals times addition laws evaluated
 through rising factorials with step 1 (Dirichlet-multinomial, so non-integer
-urn weights work) or 0 (multinomial).  The closed forms are gated in the test
-suite against brute-force enumeration of the ordered draw sequences.
+urn weights work) or 0 (multinomial); an addition law past the float range
+raises CapacityError.  The closed forms are gated in the test suite against
+brute-force enumeration of the ordered draw sequences.
 
 ``sample_step`` draws one transition generatively.  Every categorical decision
 consumes exactly one uniform and inverts the CDF in index order, resolving
@@ -44,7 +45,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .statespace import Composition, compositions, validate_composition
 
 _ROW_SUM_TOL = 1e-10
@@ -342,11 +343,22 @@ def _add_pmf(a: tuple[int, ...], beta: list[float], total: float, inc: float) ->
 
     Each draw adds inc to the weight it picks: Dirichlet-multinomial at
     inc = 1 (reinforced draws, real weights allowed), multinomial at inc = 0.
+    Raises CapacityError when the law leaves the float range: a rising
+    product that overflows, or a positive probability that underflows to 0.
     """
     out = float(_multinomial_coef(a))
     for ai, bi in zip(a, beta):
         out *= _rising(bi, ai, inc)
-    return out / _rising(total, sum(a), inc)
+    out /= _rising(total, sum(a), inc)
+    # Written so that a NaN (inf / inf) fails too.
+    if not 0.0 < out < math.inf:
+        raise _beyond_float_range(sum(a), total)
+    return out
+
+
+def _beyond_float_range(s: int, total: float) -> CapacityError:
+    return CapacityError(f"urn addition law of {s} draws, weight total {total!r}, "
+                         f"is beyond the float range")
 
 
 def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
@@ -441,17 +453,21 @@ def _addition_probs(spec: UrnSpec, counts: np.ndarray, n_balls: int,
                     comps: np.ndarray) -> np.ndarray:
     """Law of each addition vector in comps (new last axis) with counts (..., d) in the urns.
 
-    Same arithmetic, in the same order, as _add_pmf.
+    Same arithmetic, in the same order, and the same CapacityError, as _add_pmf.
     """
     s, inc = spec.s, spec.inc
     beta, total = spec.add_weights(np.moveaxis(counts, -1, 0), n_balls)
     out = np.array([float(_multinomial_coef(a)) for a in comps.tolist()])
-    for i, b in enumerate(beta):
-        rising = np.ones(np.shape(b) + (s + 1,))
-        for t in range(s):
-            rising[..., t + 1] = rising[..., t] * (b + t * inc)
-        out = out * rising[..., comps[:, i]]
-    return out / _rising(total, s, inc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, b in enumerate(beta):
+            rising = np.ones(np.shape(b) + (s + 1,))
+            for t in range(s):
+                rising[..., t + 1] = rising[..., t] * (b + t * inc)
+            out = out * rising[..., comps[:, i]]
+        out = out / _rising(total, s, inc)
+    if not ((out > 0.0) & (out < math.inf)).all():
+        raise _beyond_float_range(s, total)
+    return out
 
 
 def _urn_paths(spec: UrnSpec, x: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import ModelSpec, MoranGeneral, MoranStandard, MutationMatrix, UrnSpec
-from .statespace import Composition, minimal_element, validate_composition
+from .statespace import Composition, minimal_element
 
 _EIGEN_ROW_TOL = 1e-10
 # |lam - (1 - gap)| allowed between the two roundings of the same eigenvalue.
@@ -323,24 +323,6 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
         f0=N * a_d,
         N=N,
     )
-
-
-def eigen_residual(spec: ModelSpec, ed: EigenData, states) -> float:
-    """Max-norm residual of Kf - lam f = (Kf - f) + gap f over the given states.
-
-    Kf - f sums p (f(y) - f(x)) over the kernel_rows of the states, as one
-    array; f(y) - f(x) is a*.(y - x)_{<d}, so no term cancels f(x) ~ N.
-    """
-    x = np.array([validate_composition(y, spec.N, spec.d) for y in states],
-                 dtype=np.int64).reshape(-1, spec.d)
-    a = np.array(ed.a_star)
-    kf_minus_f, lo = np.zeros(len(x)), 0
-    for lengths, succ, probs in kernels.kernel_rows(spec, x):
-        row = np.repeat(np.arange(lo, lo + len(lengths)), lengths)
-        np.add.at(kf_minus_f, row, probs * ((succ - x[row])[:, :-1] @ a))
-        lo += len(lengths)
-    f = x[:, :-1] @ a + ed.f0
-    return float(np.max(np.abs(kf_minus_f + ed.gap * f), initial=0.0))
 
 
 def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:

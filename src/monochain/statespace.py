@@ -21,11 +21,11 @@ from .errors import CapacityError, ValidationError
 
 Composition = tuple[int, ...]
 
-# Largest state space enumerate_states will materialize by default.  The exact
-# module keeps every state, the sparse kernel, its transpose and a few
-# vectors.  Only a kernel with no closed-form stationary law (general Moran)
-# also needs the LU factors of one sparse solve; they fill in fast as d grows,
-# so at d >= 5 such a space near this cap is not yet solvable on a desk machine.
+# Largest state space state_array will materialize.  The exact module keeps
+# every state, the sparse kernel, its transpose and a few vectors.  Only a
+# kernel with no closed-form stationary law (general Moran) also needs the LU
+# factors of one sparse solve; they fill in fast as d grows, so at d >= 5
+# such a space near this cap is not yet solvable on a desk machine.
 DEFAULT_STATE_CAP = 200_000
 
 _PLAIN_INT = frozenset({int})
@@ -79,31 +79,31 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
-def state_array(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> np.ndarray:
+def state_array(n_total: int, d: int) -> np.ndarray:
     """All compositions of n_total into d parts, colex on the first d-1 coordinates.
 
     Returns a read-only S x d int64 array.  Colex order is the lex order of
     compositions(n_total, d) read with its first d-1 columns reversed: the
     lex array's first part, varying slowest, becomes coordinate d-2, and its
-    last column stays last.  Raises CapacityError when the state space
-    exceeds ``cap`` (pass None to disable the check).
+    last column stays last.  Raises CapacityError, before any allocation,
+    when the state space exceeds DEFAULT_STATE_CAP.
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got d={d}")
     size = state_count(n_total, d)
-    if cap is not None and size > cap:
+    if size > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"state space too large: {size} states for N={n_total}, d={d} "
-            f"(cap {cap})"
+            f"(cap {DEFAULT_STATE_CAP}); reduce N or d"
         )
     states = compositions(n_total, d)[:, [*range(d - 2, -1, -1), d - 1]]
     states.setflags(write=False)
     return states
 
 
-def enumerate_states(n_total: int, d: int, cap: int | None = DEFAULT_STATE_CAP) -> list[Composition]:
-    """The rows of state_array(n_total, d, cap) as tuples, in the same colex order."""
-    return list(zip(*state_array(n_total, d, cap).T.tolist()))
+def enumerate_states(n_total: int, d: int) -> list[Composition]:
+    """The rows of state_array(n_total, d) as tuples, in the same colex order."""
+    return list(zip(*state_array(n_total, d).T.tolist()))
 
 
 def ranks(z: np.ndarray, n_total: int) -> np.ndarray:

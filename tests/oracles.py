@@ -1,5 +1,5 @@
 """Brute-force oracles: exact-rational row distributions from ordered draws,
-and stationary laws by a sparse direct solve.
+stationary laws by a sparse direct solve, and the checks only the tests run.
 
 The row oracles enumerate every ordered (ball-label, destination) sequence of
 one urn step and accumulate Fraction probabilities, staying deliberately
@@ -11,7 +11,10 @@ form the package runs the same solve.  The Perron oracle is the reduced
 matrix's power iteration as first written, on numpy arrays throughout, and
 the scalar Moran row is the one-state row builder as first written.  The
 coupled urn additions, and the reference sampler, draw through Generator
-methods, not the bit stream.
+methods, not the bit stream.  The closed-form stationary laws are products of
+rising factorials, not the package's log-gamma tables; the eigen residual reads
+the kernel rows; the monotonicity audit is a randomized search for a witness
+pair, not a proof.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from monochain import (
     dominated_pick,
     validate_composition,
 )
-from monochain.kernels import pick_index
+from monochain.kernels import kernel_rows, pick_index
 
 
 def species_of_labels(x) -> list[int]:
@@ -383,3 +386,68 @@ def perron_oracle(m_star: np.ndarray,
             f"dominant reduced eigenvalue {lam} is not < 1; invalid mutation matrix?"
         )
     return lam, v
+
+
+def dm_pmf(x, alpha) -> float:
+    """Dirichlet-multinomial pmf N!/prod x_i! * prod alpha_i^(x_i rising) / |alpha|^(N rising)."""
+    out = float(math.factorial(sum(x)))
+    for xi, ai in zip(x, alpha):
+        out *= math.prod(ai + t for t in range(xi)) / math.factorial(xi)
+    return out / math.prod(sum(alpha) + t for t in range(sum(x)))
+
+
+def multinomial_pmf(x, p) -> float:
+    """Multinomial pmf N!/prod x_i! * prod p_i^x_i."""
+    out = float(math.factorial(sum(x)))
+    for xi, pi in zip(x, p):
+        out *= pi**xi / math.factorial(xi)
+    return out
+
+
+def eigen_residual(spec, ed, states) -> float:
+    """Max-norm residual of Kf - lam f = (Kf - f) + gap f over the given states.
+
+    Kf - f sums p (f(y) - f(x)) over the kernel_rows of the states, as one
+    array; f(y) - f(x) is a*.(y - x)_{<d}, so no term cancels f(x) ~ N.
+    """
+    x = np.array([validate_composition(y, spec.N, spec.d) for y in states],
+                 dtype=np.int64).reshape(-1, spec.d)
+    a = np.array(ed.a_star)
+    kf_minus_f, lo = np.zeros(len(x)), 0
+    for lengths, succ, probs in kernel_rows(spec, x):
+        row = np.repeat(np.arange(lo, lo + len(lengths)), lengths)
+        np.add.at(kf_minus_f, row, probs * ((succ - x[row])[:, :-1] @ a))
+        lo += len(lengths)
+    f = x[:, :-1] @ a + ed.f0
+    return float(np.max(np.abs(kf_minus_f + ed.gap * f), initial=0.0))
+
+
+def monotonicity_audit(tm, trials: int, seed: int, tol: float = 1e-10) -> tuple[int, int, float]:
+    """(comparable pairs, violations, max excess) of Kg(x) <= Kg(y) over all x <= y, x != y.
+
+    Each trial draws a monotone g: states in order of prefix level, each the
+    largest g of its predecessors x - e_i + e_d (i < d - 1) plus a uniform
+    increment, looked up by dictionary in any state order.  A pair violates
+    when Kg(x) - Kg(y) exceeds tol.
+    """
+    d = len(tm.states[0])
+    prefix = np.asarray(tm.states)[:, : d - 1]
+    comparable = np.all(prefix[:, None, :] <= prefix[None, :, :], axis=2)
+    np.fill_diagonal(comparable, False)
+    rng = np.random.default_rng(seed)
+    violations, max_excess = 0, 0.0
+    for _ in range(trials):
+        increments = rng.random(tm.dim)
+        g = np.zeros(tm.dim)
+        for idx in np.argsort(prefix.sum(axis=1), kind="stable"):
+            x = tm.states[idx]
+            preds = [x[:i] + (x[i] - 1,) + x[i + 1: d - 1] + (x[d - 1] + 1,)
+                     for i in range(d - 1) if x[i] > 0]
+            g[idx] = max((g[tm.index[y]] for y in preds), default=0.0) + increments[idx]
+        kg = tm.csr @ g
+        excess = kg[:, None] - kg[None, :] - tol
+        bad = comparable & (excess > 0.0)
+        violations += int(bad.sum())
+        if bad.any():
+            max_excess = max(max_excess, float(excess[bad].max()))
+    return int(comparable.sum()), violations, max_excess

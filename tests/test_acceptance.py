@@ -21,7 +21,7 @@ from helpers import (
     random_ordered_pair,
     random_positive_matrix,
 )
-from oracles import ehrenfest_row_oracle, polya_row_oracle
+from oracles import dm_pmf, ehrenfest_row_oracle, eigen_residual, multinomial_pmf, polya_row_oracle
 
 
 def _finish(num: int, label: str, t0: float, budget: float):
@@ -94,7 +94,7 @@ def test_criterion_5_eigen_identity_random_models():
         spec = random_model(rng, n_max=6, d_max=4)
         ed = mc.model_eigendata(spec)
         states = mc.enumerate_states(spec.N, spec.d)
-        worst = max(worst, mc.eigen_residual(spec, ed, states))
+        worst = max(worst, eigen_residual(spec, ed, states))
     assert worst <= 1e-10, f"worst eigen residual {worst:.3e}"
     _finish(5, f"eigen identity on 50 random models (worst residual {worst:.2e})", t0, 30.0)
 
@@ -131,21 +131,21 @@ def test_criterion_7_stationary_laws():
     cases = [
         (
             mc.MoranStandard(8, 0.5, (0.3, 0.2, 0.5)),
-            lambda x: mc.dm_log_pmf(x, 8, tuple(8 * 0.5 * p / 0.5 for p in (0.3, 0.2, 0.5))),
+            lambda x: dm_pmf(x, tuple(8 * 0.5 * p / 0.5 for p in (0.3, 0.2, 0.5))),
         ),
         (
             mc.PolyaLevel(8, 2, (1.0, 2.0, 1.5)),
-            lambda x: mc.dm_log_pmf(x, 8, (1.0, 2.0, 1.5)),
+            lambda x: dm_pmf(x, (1.0, 2.0, 1.5)),
         ),
         (
             mc.Ehrenfest(8, 2, (0.25, 0.35, 0.4)),
-            lambda x: mc.multinomial_log_pmf(x, 8, (0.25, 0.35, 0.4)),
+            lambda x: multinomial_pmf(x, (0.25, 0.35, 0.4)),
         ),
     ]
-    for spec, log_pmf in cases:
+    for spec, pmf in cases:
         tm = mc.build_matrix(spec)
         pi = mc.stationary(tm)
-        err = max(abs(p - math.exp(log_pmf(x))) for p, x in zip(pi, tm.states))
+        err = max(abs(p - pmf(x)) for p, x in zip(pi, tm.states))
         assert err <= 1e-10, f"{type(spec).__name__}: stationary error {err:.3e}"
     _finish(7, "exact stationary laws match closed forms to 1e-10", t0, 30.0)
 

@@ -18,16 +18,14 @@ from monochain import (
     ValidationError,
     bound_report,
     crude_bound,
-    dm_log_pmf,
     enumerate_states,
     minimal_element,
     model_eigendata,
-    multinomial_log_pmf,
     spec_to_json,
     steps_to_epsilon,
     tv_bound_coefficients,
 )
-from monochain.bounds import stationary_log_pmf, stationary_log_pmfs
+from monochain.bounds import _dm_log_pmf, _multinomial_log_pmf, _stationary_log_pmf, stationary_log_pmfs
 from monochain.cli import main
 from helpers import (
     delta_construction_matrix,
@@ -36,6 +34,7 @@ from helpers import (
     random_prob_vector,
     random_state,
 )
+from oracles import multinomial_pmf
 
 
 def test_steps_to_epsilon_golden_cases():
@@ -89,65 +88,62 @@ def test_bound_report_refuses_an_invalid_epsilon(epsilon):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: dm_log_pmf((1, 2, 3), 7, (1.0, 2.0, 0.5)),
-    lambda: dm_log_pmf((1, 2, 3), 6, (1.0, 2.0)),
-    lambda: dm_log_pmf((1, 2, 3), 6, (1.0, 0.0, 0.5)),
-    lambda: multinomial_log_pmf((1, 2, 3), 5, (0.2, 0.3, 0.5)),
-    lambda: multinomial_log_pmf((1, 2, 3), 6, (0.2, 0.3, 0.4, 0.1)),
-    lambda: multinomial_log_pmf((1, 2, 3), 6, (0.5, -0.1, 0.6)),
-    lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 2.0, 0.5)), (1, 2, 4)),
-    lambda: stationary_log_pmf(Ehrenfest(6, 1, (0.2, 0.3, 0.5)), (1, 2, 2, 1)),
-    lambda: stationary_log_pmf(PolyaLevel(6, 2, (1.0, 0.0, 0.5)), (1, 2, 3)),
-    lambda: dm_log_pmf((1, 1), 2, (True, 1.0)),
-    lambda: dm_log_pmf((1, 1), 2, ("2", 1.0)),
-    lambda: dm_log_pmf((1.5, 0.5), 2, (1.0, 1.0)),
-    lambda: dm_log_pmf((-1, 3), 2, (1.0, 1.0)),
-    lambda: dm_log_pmf((1, 1), 2, (math.nan, 1.0)),
-    lambda: multinomial_log_pmf((-1, 3), 2, (0.5, 0.5)),
-    lambda: multinomial_log_pmf((1, 1), 2, (math.inf, 0.5)),
+    lambda: crude_bound(PolyaLevel(7, 2, (1.0, 2.0, 0.5)), (1, 2, 3)),
+    lambda: crude_bound(PolyaLevel(6, 2, (1.0, 2.0)), (1, 2, 3)),
+    lambda: PolyaDownUp(6, 2, (1.0, -2.0, 0.5)),
+    lambda: crude_bound(Ehrenfest(5, 1, (0.2, 0.3, 0.5)), (1, 2, 3)),
+    lambda: crude_bound(Ehrenfest(6, 1, (0.2, 0.3, 0.4, 0.1)), (1, 2, 3)),
+    lambda: Ehrenfest(6, 1, (0.5, -0.1, 0.6)),
+    lambda: crude_bound(PolyaLevel(6, 2, (1.0, 2.0, 0.5)), (1, 2, 4)),
+    lambda: crude_bound(Ehrenfest(6, 1, (0.2, 0.3, 0.5)), (1, 2, 2, 1)),
+    lambda: PolyaLevel(6, 2, (1.0, 0.0, 0.5)),
+    lambda: PolyaLevel(2, 1, (True, 1.0)),
+    lambda: PolyaLevel(2, 1, ("2", 1.0)),
+    lambda: crude_bound(PolyaLevel(2, 1, (1.0, 1.0)), (1.5, 0.5)),
+    lambda: crude_bound(PolyaLevel(2, 1, (1.0, 1.0)), (-1, 3)),
+    lambda: PolyaLevel(2, 1, (math.nan, 1.0)),
+    lambda: crude_bound(Ehrenfest(2, 1, (0.5, 0.5)), (-1, 3)),
+    lambda: Ehrenfest(2, 1, (math.inf, 0.5)),
 ], ids=["dm_sum", "dm_length", "dm_weight", "multinomial_sum", "multinomial_length",
         "multinomial_weight", "stationary_sum", "stationary_length", "stationary_weight",
         "dm_bool_weight", "dm_string_weight", "dm_fractional_count", "dm_negative_count",
         "dm_nan_weight", "multinomial_negative_count", "multinomial_infinite_weight"])
 def test_log_pmfs_refuse_invalid_input(call):
-    # Counts and weights are checked by the specs' rules: integer counts >= 0,
-    # real weights that are positive and finite.  A stationary law's weights
-    # are the spec's, refused when it is built.
+    # The stationary mass is read at a state through crude_bound, which checks
+    # it as a composition of the spec's N with one count per weight: integer
+    # counts >= 0.  The weights (Dirichlet-multinomial alpha, multinomial p)
+    # are the spec's: positive, finite reals, refused when it is built.
     with pytest.raises(ValidationError):
         call()
 
 
 def test_dm_pmf_normalizes():
+    states = np.array(enumerate_states(4, 3))
     for alpha in [(1.0, 1.0, 1.0), (0.5, 2.5, 1.25), (180.0, 180.0, 180.0)]:
-        total = math.fsum(
-            math.exp(dm_log_pmf(x, 4, alpha)) for x in enumerate_states(4, 3)
-        )
+        total = math.fsum(np.exp(stationary_log_pmfs(PolyaLevel(4, 1, alpha), states)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_multinomial_pmf_normalizes():
-    p = (0.2, 0.5, 0.3)
-    total = math.fsum(
-        math.exp(multinomial_log_pmf(x, 5, p)) for x in enumerate_states(5, 3)
-    )
+    states = np.array(enumerate_states(5, 3))
+    total = math.fsum(np.exp(stationary_log_pmfs(Ehrenfest(5, 1, (0.2, 0.5, 0.3)), states)))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_cell_pmfs_are_degenerate():
     # d = 1: the only composition carries all the mass, so the crude
     # coefficient 1 / (2 sqrt(pi)) collapses to 1/2.
-    assert dm_log_pmf((4,), 4, (2.5,)) == pytest.approx(0.0, abs=1e-12)
-    assert multinomial_log_pmf((4,), 4, (1.0,)) == pytest.approx(0.0, abs=1e-12)
+    assert _dm_log_pmf((4,), 4, (2.5,), 2.5) == pytest.approx(0.0, abs=1e-12)
+    assert _multinomial_log_pmf((4,), 4, (1.0,)) == pytest.approx(0.0, abs=1e-12)
     assert math.exp(-0.5 * 0.0 - math.log(2.0)) == 0.5
 
 
 def test_dm_approaches_multinomial_for_large_weights():
     p = (0.3, 0.2, 0.5)
-    alpha = tuple(1e6 * v for v in p)
-    for x in enumerate_states(4, 3):
-        dm = math.exp(dm_log_pmf(x, 4, alpha))
-        mult = math.exp(multinomial_log_pmf(x, 4, p))
-        assert abs(dm - mult) / mult <= 1e-3
+    states = np.array(enumerate_states(4, 3))
+    dm = np.exp(stationary_log_pmfs(PolyaLevel(4, 1, tuple(1e6 * v for v in p)), states))
+    mult = np.exp(stationary_log_pmfs(Ehrenfest(4, 1, p), states))
+    assert np.all(np.abs(dm - mult) / mult <= 1e-3)
 
 
 def test_crude_bound_unavailable_for_general_moran():
@@ -161,7 +157,7 @@ def test_crude_bound_unavailable_for_general_moran():
 def test_crude_bound_full_mutation_uses_multinomial_limit():
     spec = MoranStandard(4, 1.0, (0.25, 0.25, 0.5))
     x = (1, 1, 2)
-    expected = math.exp(-0.5 * multinomial_log_pmf(x, 4, spec.p) - math.log(2))
+    expected = 0.5 / math.sqrt(multinomial_pmf(x, spec.p))
     assert crude_bound(spec, x) == pytest.approx(expected, rel=1e-12)
 
 
@@ -346,7 +342,7 @@ def test_full_swap_downup_eigenvalue_is_exactly_zero(n, alpha, tmp_path, capsys)
 def test_vectorised_log_pmf_matches_scalar(spec):
     states = enumerate_states(9, 3)
     got = stationary_log_pmfs(spec, np.array(states))
-    want = [stationary_log_pmf(spec, x) for x in states]
+    want = [_stationary_log_pmf(spec, x) for x in states]
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
     assert math.fsum(np.exp(got)) == pytest.approx(1.0, abs=1e-13)
 

@@ -218,6 +218,31 @@ def test_overflow_exits_3_with_one_error_line(tmp_path, capsys, doc, argv, messa
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert err.startswith("error: value beyond the float range (")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,doc", [
+    # Rising products past the float range: NaN, or 0.0 where inf divides a
+    # finite product.
+    ("exact", {"model": {"model": "polya_updown", "N": 10, "s": 2,
+                         "alpha": [4.98e189, 1.46e-110, 1.53e-93]}, "start": [0, 0, 10]}),
+    ("exact", {"model": {"model": "polya_level", "N": 4, "s": 3,
+                         "alpha": [3.34e257, 1.53e-269]}, "start": [0, 4]}),
+    # A positive probability (7e-119)^5 that underflows to 0.
+    ("exact", {"model": {"model": "ehrenfest", "N": 8, "s": 5,
+                         "p": [3.4e-83, 1.0, 7.0e-119]}, "start": [0, 0, 8]}),
+    # The summary's marginal TVs read the scalar entries of transition_prob.
+    ("couple", {"model": {"model": "polya_level", "N": 530, "s": 2,
+                          "alpha": [2.319198612343035e179, 3.609851512149163e93]},
+                "start": [0, 530], "start_upper": [255, 275], "replicates": 2, "max_steps": 5}),
+], ids=["exact_updown", "exact_level", "exact_underflow", "couple"])
+def test_addition_law_beyond_the_float_range_exits_3(tmp_path, capsys, command, doc):
+    assert main([command, "--config", _write(tmp_path, doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: urn addition law") and err.count("\n") == 1
+    assert "beyond the float range" in err
 
 
 def test_couple_makes_each_generator_as_its_replicate_starts(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,10 @@ Each config draws a family, d in 2..8, N log-uniform in 1..10^9, urn weights
 from 1e-300 to 1e300, epsilon from 1e-300 to 0.99, and a corner or random
 start.  ``bounds`` and ``spectral`` run on every config, ``exact`` on spaces
 of at most 500 states and ``couple`` (2 replicates of 5 steps) below
-N = 10^6.  Exit 0 must print a JSON document (a CSV curve for ``exact``);
-exit 2 or 3 must print one ``error:`` line and nothing on stdout; nothing
-else, an escaping exception included, is an answer.
+N = 10^6.  Exit 0 must print a JSON document with no NaN or Infinity in it
+(a CSV curve for ``exact``); exit 2 or 3 must print one ``error:`` line and
+nothing on stdout; nothing else, an escaping exception or a RuntimeWarning
+included, is an answer.
 """
 import csv
 import json
@@ -104,6 +105,7 @@ def _commands(doc: dict) -> list[str]:
     return commands
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(3))
 def test_random_configs_answer_or_exit_cleanly(tmp_path, capsys, seed):
     rng = np.random.default_rng(seed)
@@ -130,6 +132,7 @@ def test_random_configs_answer_or_exit_cleanly(tmp_path, capsys, seed):
                                    "crude_bound"], where
                 assert len(rows) == doc["n_max"] + 2, where
             else:
-                assert isinstance(json.loads(out), dict), where
+                answer = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c}: {where}"))
+                assert isinstance(answer, dict), where
     # The mix reaches answers and both kinds of refusal.
     assert {0, 2, 3} <= set(codes)

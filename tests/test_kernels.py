@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from monochain import (
+    CapacityError,
     Ehrenfest,
     MoranGeneral,
     MoranStandard,
@@ -20,7 +21,6 @@ from monochain import (
     UrnSpec,
     ValidationError,
     build_matrix,
-    eigen_residual,
     enumerate_states,
     model_eigendata,
     run_coupled,
@@ -42,6 +42,7 @@ from helpers import (
 )
 from oracles import (
     ehrenfest_row_oracle,
+    eigen_residual,
     moran_row_oracle,
     polya_row_oracle,
     sample_step_reference,
@@ -506,6 +507,22 @@ def test_urn_constructors_share_one_spec():
             UrnSpec(5, 2, (0.25, 0.75), order, reinforced)
     with pytest.raises(ValidationError, match="must sum to 1"):
         Ehrenfest(5, 2, (1.0, 2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_addition_laws_beyond_the_float_range_raise_capacity_error():
+    # (4.98e189)^2 overflows, and inf / inf is NaN.
+    spec = PolyaUpDown(10, 2, (4.98e189, 1.46e-110, 1.53e-93))
+    with pytest.raises(CapacityError, match="beyond the float range"):
+        transition_row(spec, (0, 0, 10))
+    with pytest.raises(CapacityError, match="beyond the float range"):
+        transition_prob(spec, (0, 0, 10), (1, 0, 9))
+    # (7e-119)^5 underflows to 0, a probability no longer > 0.
+    spec = Ehrenfest(8, 5, (3.4e-83, 1.0, 7.0e-119))
+    with pytest.raises(CapacityError, match="beyond the float range"):
+        transition_row(spec, (0, 0, 8))
+    with pytest.raises(CapacityError, match="beyond the float range"):
+        transition_prob(spec, (0, 0, 8), (0, 0, 8))
 
 
 def test_specs_stay_frozen():

@@ -22,7 +22,6 @@ from monochain import (
     build_eigenfunction,
     build_matrix,
     classify_conditions,
-    eigen_residual,
     enumerate_states,
     kernels,
     model_eigendata,
@@ -33,7 +32,7 @@ from monochain import (
     tv_bound_coefficients,
 )
 from helpers import delta_construction_matrix, random_dominated_matrix
-from oracles import moran_row_scalar, perron_oracle
+from oracles import eigen_residual, moran_row_scalar, perron_oracle
 
 
 def test_standard_choice_satisfies_positive_eigenvector_condition():
