@@ -97,11 +97,10 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
         raise ValidationError("config must be an object with a 'model' document")
     spec = spec_from_json(doc["model"])
 
-    def pick(flag_name, key, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return doc.get(key, default)
+    def pick(key):
+        """The flag if given, else the document's value, else RunConfig's default."""
+        flag = getattr(args, key, None)
+        return doc.get(key, getattr(RunConfig, key, None)) if flag is None else flag
 
     def parse_state(value, name):
         if isinstance(value, str):
@@ -112,27 +111,22 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"bad {name}: {value!r}") from exc
         return validate_composition(counts, spec.N, spec.d)
 
-    start = pick("start", "start", None)
+    start = pick("start")
     if start is None:
         raise ValidationError("config must set 'start' (or pass --start)")
     start = parse_state(start, "start")
 
-    start_upper = pick("start_upper", "start_upper", None)
+    start_upper = pick("start_upper")
     if start_upper is not None:
         start_upper = parse_state(start_upper, "start_upper")
 
     cfg = RunConfig(
         spec=spec,
         start=start,
-        epsilon=as_real(pick("epsilon", "epsilon", 0.01), "epsilon"),
-        seed=as_integer(pick("seed", "seed", 0), "seed"),
-        replicates=as_integer(pick("replicates", "replicates", 200), "replicates"),
-        max_steps=as_integer(pick("max_steps", "max_steps", 10_000), "max_steps"),
-        n_max=as_integer(pick("n_max", "n_max", 200), "n_max"),
+        epsilon=as_real(pick("epsilon"), "epsilon"),
         start_upper=start_upper,
-        output=pick("output", "output", None),
-        trajectories=pick("trajectories", "trajectories", None),
-        summary=pick("summary", "summary", None),
+        **{key: as_integer(pick(key), key) for key in ("seed", "replicates", "max_steps", "n_max")},
+        **{key: pick(key) for key in ("output", "trajectories", "summary")},
     )
     for key in ("output", "trajectories", "summary"):
         path = getattr(cfg, key)

@@ -497,17 +497,23 @@ def _urn_paths(spec: UrnSpec, x: np.ndarray, comps: np.ndarray) -> tuple[np.ndar
 
 
 def _check_rows(x: np.ndarray, row: np.ndarray, probs: np.ndarray) -> None:
-    """Every entry > 0 and every row sum within _ROW_SUM_TOL of 1 (a NaN fails both)."""
-    bad = ~(probs > 0.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(
-            f"row from {tuple(x[row[k]].tolist())} has an entry {probs[k]!r}, must be > 0")
+    """Every entry > 0 and every row sum within _ROW_SUM_TOL of 1 (a NaN fails both).
+
+    Paths are products of positive factors, so a 0.0 entry, with none below 0
+    or NaN, has underflowed: CapacityError.  Any other failure: ValidationError.
+    """
+    if not (probs > 0.0).all():
+        corrupt = ~(probs >= 0.0)
+        k = int(np.argmax(corrupt if corrupt.any() else probs == 0.0))
+        origin = tuple(x[row[k]].tolist())
+        if corrupt[k]:
+            raise ValidationError(f"row from {origin} has an entry {float(probs[k])!r}, must be > 0")
+        raise CapacityError(f"row from {origin} has an entry below the float range (0.0)")
     sums = np.bincount(row, weights=probs, minlength=len(x))
     off = ~(np.abs(sums - 1.0) <= _ROW_SUM_TOL)
     if off.any():
         i = int(np.argmax(off))
-        raise ValidationError(f"row from {tuple(x[i].tolist())} sums to {sums[i]!r}")
+        raise ValidationError(f"row from {tuple(x[i].tolist())} sums to {float(sums[i])!r}")
 
 
 def kernel_rows(spec: ModelSpec, states: np.ndarray
@@ -523,8 +529,8 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
     sums each cell in path order, so every entry equals a per-state sum in a
     dict, and minimum.at finds each cell's first path.  Blocks hold at most
     _PATH_BUDGET paths and table cells (one state at least).  Raises
-    ValidationError when an entry is not > 0 or a row does not sum to 1
-    within 1e-10.
+    ValidationError when an entry is negative or NaN or a row does not sum
+    to 1 within 1e-10, and CapacityError when an entry underflows to 0.0.
     """
     if isinstance(spec, UrnSpec):
         comps = _step_vectors(spec.s, spec.d)

@@ -9,17 +9,17 @@ linear eigenfunction
 
 with eigenvalue lambda = 1 - 1/N + lambda*/N.  f is strictly increasing along
 the dominance order with minimal increment c1 = min a*_i and sup-norm c2.
-The eigen identity is checked, with no kernel row, in increment form:
-Kf(x) - lambda f(x) = a*.(M^T x - x)_{<d} / N + (1 - lambda) f(x), where
-1 - lambda is read as the gap (1 - lambda*)/N, not from the rounded lambda.
+The eigen identity is checked on the whole lattice, with no kernel row: the
+defect Kf - lambda f = a*.(M^T x - x)_{<d} / N + gap f is affine in x, so it is
+read at the d vertices N e_i.  gap = (1 - lambda*)/N stands for 1 - lambda.
 
 The urn families admit the same linear form with a* = (1, ..., 1) and
 closed-form second eigenvalues; see ``model_eigendata``.
 
-The public functions validate their input.  Past that, the scalar work reads
-the mutation matrix's float rows (``MutationMatrix.rows``) and Python floats;
-numpy holds the reduced matrix and does the array work of the Perron run
-(its checks, products and residual) and of the eigen check.
+The public functions validate their input.  Past that, the scalar work,
+the eigen check among it, reads the mutation matrix's float rows
+(``MutationMatrix.rows``) and Python floats; numpy holds the reduced matrix
+and does the array work of the Perron run (its checks, products and residual).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import ModelSpec, MoranGeneral, MoranStandard, MutationMatrix, UrnSpec
-from .statespace import Composition, minimal_element
+from .statespace import Composition
 
 _EIGEN_ROW_TOL = 1e-10
 # |lam - (1 - gap)| allowed between the two roundings of the same eigenvalue.
@@ -231,8 +231,8 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
     Requires one of the monotonicity conditions.  Reads the Perron eigenpair
     of the reduced matrix from classify_conditions, so one power iteration
     serves both, and raises the PerronConvergenceError that run met, if any,
-    as a fresh exception.  Verifies the eigen identity, in increment form,
-    on three probe states before returning.
+    as a fresh exception.  Verifies the eigen identity on every state, at
+    the d vertices, before returning.
     """
     if n_total < 1:
         raise ValidationError(f"need N >= 1, got {n_total}")
@@ -268,17 +268,14 @@ def build_eigenfunction(M: MutationMatrix, n_total: int) -> EigenData:
         f0=n_total * a_d,
         N=n_total,
     )
-    base, extra = divmod(n_total, d)
-    probes = [minimal_element(n_total, d), (n_total,) + (0,) * (d - 1),
-              tuple(base + (1 if i < extra else 0) for i in range(d))]
     if not abs(ed.lam - (1.0 - ed.gap)) <= _EIGEN_LAM_TOL:
         raise EigenConsistencyError(
             f"second eigenvalue {ed.lam!r} is not 1 - gap for gap {ed.gap!r}"
         )
-    residual = _moran_residual(M, ed, probes)
+    residual = _moran_residual(M, ed)
     if residual > _EIGEN_ROW_TOL:
         raise EigenConsistencyError(
-            f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over {probes}"
+            f"eigen identity violated: max |Kf - lam*f| = {residual:.3e} over the lattice"
         )
     return ed
 
@@ -325,10 +322,10 @@ def model_eigendata(spec: ModelSpec) -> EigenData:
     )
 
 
-def _moran_residual(M: MutationMatrix, ed: EigenData, states) -> float:
-    """Max over states of |(Kf - f)(x) + gap f(x)|, gap = 1 - lam."""
-    x = np.array(states, dtype=float).reshape(-1, ed.d)
-    a = np.array(ed.a_star)
-    kf_minus_f = (x @ M.matrix - x)[:, :-1] @ a / ed.N
-    f = x[:, :-1] @ a + ed.f0
-    return float(np.max(np.abs(kf_minus_f + ed.gap * f), initial=0.0))
+def _moran_residual(M: MutationMatrix, ed: EigenData) -> float:
+    """Max over every state of |Kf - lam f| = |sum_i (x_i / N) r_i|: max |r_i|, where
+    r_i = sum_{j<d} m_ij a*_j - [i<d] a*_i + gap ([i<d] N a*_i + f0) is its value at N e_i.
+    """
+    a, n, gap, f0 = ed.a_star, ed.N, ed.gap, ed.f0
+    return max(abs(sum(map(mul, row, a)) - ai + gap * (n * ai + f0))
+               for row, ai in zip(M.rows, (*a, 0.0)))

@@ -107,20 +107,22 @@ def enumerate_states(n_total: int, d: int) -> list[Composition]:
 
 
 def ranks(z: np.ndarray, n_total: int) -> np.ndarray:
-    """Colex ranks of the compositions of n_total in the last axis of z: their state_array rows."""
+    """Colex ranks of the compositions of n_total in the last axis of z: their state_array rows.
+
+    rank(z) = C(N + d - 1, d - 1) - 1 - sum_{i < d-1} C(Q_i + i, i + 1), where
+    Q_i = z_{d-1} + z_0 + ... + z_{i-1}: the sum counts the compositions after z.
+    table[k, m] = C(m + k - 1, k), m <= N + 1, comes by the hockey-stick identity.
+    """
     d = z.shape[-1]
-    # comb(m + k, k) for m = 0..n_total and k < d, by the hockey-stick identity.
-    combs = np.ones((n_total + 1, d), dtype=np.int64)
+    table = np.zeros((d, n_total + 2), dtype=np.int64)
+    table[0, 1:] = 1
     for k in range(1, d):
-        combs[:, k] = np.cumsum(combs[:, k - 1])
-    remaining = np.full(z.shape[:-1], n_total, dtype=np.int64)
-    r = np.zeros(z.shape[:-1], dtype=np.int64)
-    for k in range(d - 1, 0, -1):
-        v = z[..., k - 1]
-        # Number of length-k prefixes with a smaller last coordinate:
-        # sum_{t<v} C(remaining - t + k - 1, k - 1), telescoped.
-        r += combs[remaining, k] - combs[remaining - v, k]
-        remaining -= v
+        np.cumsum(table[k - 1], out=table[k])
+    q = z[..., d - 1]
+    r = table[d - 1, n_total + 1] - 1 - table[1][q]
+    for i in range(1, d - 1):
+        q = q + z[..., i - 1]
+        r -= table[i + 1][q]
     return r
 
 

@@ -245,6 +245,15 @@ def test_addition_law_beyond_the_float_range_exits_3(tmp_path, capsys, command, 
     assert "beyond the float range" in err
 
 
+def test_path_product_underflow_exits_3(tmp_path, capsys):
+    doc = {"model": {"model": "ehrenfest", "N": 60, "s": 2, "p": [1e-161, 1.0]},
+           "start": [0, 60]}
+    assert main(["exact", "--config", _write(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: row from (51, 9)") and err.count("\n") == 1
+    assert "float range" in err
+
+
 def test_couple_makes_each_generator_as_its_replicate_starts(tmp_path, capsys, monkeypatch):
     # Replicate k runs with k + 1 generators made, not all of them up front;
     # the pinned digests below check that the streams are unchanged.

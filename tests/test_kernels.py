@@ -525,6 +525,17 @@ def test_addition_laws_beyond_the_float_range_raise_capacity_error():
         transition_prob(spec, (0, 0, 8), (0, 0, 8))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_path_products_below_the_float_range_raise_capacity_error():
+    # From (51, 9), removing two balls of species 1 (0.02) and adding two of
+    # species 0 (about 1e-322, subnormal) are both positive; their product is 0.0.
+    spec = Ehrenfest(60, 2, (1e-161, 1.0))
+    with pytest.raises(CapacityError, match=r"^row from \(51, 9\) .*float range"):
+        build_matrix(spec)
+    with pytest.raises(CapacityError, match="float range"):
+        transition_row(spec, (51, 9))
+
+
 def test_specs_stay_frozen():
     # The one-slot records of sample_step and coupled_step trust `spec is last_spec`.
     specs = [

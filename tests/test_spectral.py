@@ -247,16 +247,18 @@ def test_perron_refuses_non_finite_entries(bad):
 
 
 def test_moran_increment_residual_matches_the_row_form():
+    # The vertex certificate is the maximum over every state of the defect
+    # the kernel rows give, not a bound on it.
     rng = np.random.default_rng(13)
     for d, n in ((2, 8), (3, 8), (4, 6), (5, 5)):
         for spec in (MoranGeneral(n, random_dominated_matrix(rng, d)),
                      MoranStandard(n, 0.6, tuple(np.full(d, 1.0 / d)))):
             ed = model_eigendata(spec)
-            for x in enumerate_states(n, d):
-                row = moran_row_scalar(spec, x)
-                by_row = math.fsum(p * ed.value(y) for y, p in row.items()) - ed.lam * ed.value(x)
-                assert spectral._moran_residual(spec.M, ed, [x]) == pytest.approx(
-                    abs(by_row), abs=1e-12)
+            worst = max(
+                abs(math.fsum(p * ed.value(y) for y, p in moran_row_scalar(spec, x).items())
+                    - ed.lam * ed.value(x))
+                for x in enumerate_states(n, d))
+            assert spectral._moran_residual(spec.M, ed) == pytest.approx(worst, abs=1e-12)
 
 
 # Strictly dominated, with enough mass in the last row that each mutation
@@ -301,6 +303,28 @@ def test_eigen_check_rejects_perturbed_eigendata(monkeypatch, mutate):
     monkeypatch.setattr(spectral, "EigenData", lambda **kw: real(**mutate(kw)))
     with pytest.raises(EigenConsistencyError):
         build_eigenfunction(M, 50)
+
+
+def test_eigen_check_sees_a_wrong_a_star_that_three_states_miss(monkeypatch):
+    # At d = 5 the defect at three states is three linear functionals of
+    # a_star; a move along their common null space leaves it at rounding
+    # level there, yet breaks the identity at the vertices.
+    n = 50
+    M = random_dominated_matrix(np.random.default_rng(23), 5)
+    ed = build_eigenfunction(M, n)
+    probes = np.array([(0, 0, 0, 0, n), (n, 0, 0, 0, 0), (10, 10, 10, 10, 10)], dtype=float)
+    # d/da_j of Kf(x) - lam f(x) at each probe state x.
+    functionals = ((probes @ M.matrix - probes) / n + ed.gap * probes)[:, :-1]
+    move = 1e-6 * np.linalg.svd(functionals)[2][-1]
+    a_star = tuple((np.array(ed.a_star) + move).tolist())
+    moved = dataclasses.replace(ed, a_star=a_star)
+    spec = MoranGeneral(n, M)
+    assert eigen_residual(spec, moved, probes.astype(int).tolist()) < 1e-12
+    assert eigen_residual(spec, moved, (n * np.eye(5, dtype=int)).tolist()) > 1e-7
+    real = spectral.EigenData
+    monkeypatch.setattr(spectral, "EigenData", lambda **kw: real(**dict(kw, a_star=a_star)))
+    with pytest.raises(EigenConsistencyError):
+        build_eigenfunction(M, n)
 
 
 def test_general_moran_eigendata_builds_no_kernel_row(monkeypatch):
