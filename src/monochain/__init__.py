@@ -65,7 +65,6 @@ from .statespace import (
     DEFAULT_STATE_CAP,
     Composition,
     enumerate_states,
-    minimal_element,
     partial_leq,
     state_count,
     validate_composition,

@@ -554,7 +554,9 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
         probs = sums[cell[first]]
         row = row[first]
         _check_rows(x, row, probs)
-        yield np.bincount(row, minlength=len(x)), x[row] + offsets[path[first]], probs
+        # take gathers whole rows at once, where fancy indexing goes entry by entry.
+        successors = x.take(row, axis=0) + offsets.take(path[first], axis=0)
+        yield np.bincount(row, minlength=len(x)), successors, probs
 
 
 def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:

@@ -16,16 +16,21 @@ read at the d vertices N e_i.  gap = (1 - lambda*)/N stands for 1 - lambda.
 The urn families admit the same linear form with a* = (1, ..., 1) and
 closed-form second eigenvalues; see ``model_eigendata``.
 
+A ``ConditionReport`` records weak domination as the field ``weak`` and
+computes c2, a graph search on the reduced matrix, only when it is read.
+
 The public functions validate their input.  Past that, the scalar work,
 the eigen check among it, reads the mutation matrix's float rows
-(``MutationMatrix.rows``) and Python floats; numpy holds the reduced matrix
-and does the array work of the Perron run (its checks, products and residual).
+(``MutationMatrix.rows``) and Python floats.  numpy holds the reduced matrix
+and forms the Perron run's products, written into two alternating vectors;
+the run's checks and its residual read the entries once, as Python floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import le, lt, mul, sub
 
 import numpy as np
@@ -52,10 +57,14 @@ _PERRON_MAX_ITER = 100_000
 class ConditionReport:
     """Which of the three dominated-row monotonicity conditions hold.
 
-    strict: last row strictly below the columnwise minimum of the others.
-    weak_irreducible: weak domination with an irreducible reduced matrix.
-    weak_positive_eigenvector: weak domination and power iteration on the
-    reduced matrix converges to a strictly positive vector.
+    strict (c1): last row strictly below the columnwise minimum of the others.
+    weak_irreducible (c2): weak domination with an irreducible reduced matrix.
+    weak_positive_eigenvector (c3): weak domination and power iteration on
+    the reduced matrix converges to a strictly positive vector.
+
+    ``c2_holds`` is a cached property, not a field: it is computed from
+    ``weak`` and ``reduced`` when first read.  ``any_holds`` reads c1, then
+    c3, then c2, so a report that c1 or c3 decides never makes the search.
 
     Under weak domination the Perron run made for the third condition is
     kept: its eigenpair (lam_star, a_star), with a_star read-only like
@@ -64,16 +73,20 @@ class ConditionReport:
     """
 
     c1_holds: bool
-    c2_holds: bool
+    weak: bool
     c3_holds: bool
     reduced: np.ndarray
     lam_star: float | None
     a_star: np.ndarray | None
     perron_error: PerronConvergenceError | None
 
+    @cached_property
+    def c2_holds(self) -> bool:
+        return self.weak and kernels._strongly_connected(self.reduced > 0.0)
+
     @property
     def any_holds(self) -> bool:
-        return self.c1_holds or self.c2_holds or self.c3_holds
+        return self.c1_holds or self.c3_holds or self.c2_holds
 
 
 @lru_cache(maxsize=8)
@@ -93,7 +106,6 @@ def classify_conditions(M: MutationMatrix) -> ConditionReport:
     col_min = list(map(min, zip(*M.rows[: d - 1])))
     weak = all(map(le, last, col_min))
     strict = all(map(lt, last, col_min))
-    c2 = weak and kernels._strongly_connected(reduced > 0.0)
     lam_star = a_star = error = None
     if weak:
         try:
@@ -102,7 +114,7 @@ def classify_conditions(M: MutationMatrix) -> ConditionReport:
         except PerronConvergenceError as exc:
             error = exc
     c3 = a_star is not None and min(a_star.tolist()) > 0.0
-    return ConditionReport(strict, c2, c3, reduced, lam_star, a_star, error)
+    return ConditionReport(strict, weak, c3, reduced, lam_star, a_star, error)
 
 
 def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float, np.ndarray]:
@@ -118,23 +130,28 @@ def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float,
     a = np.asarray(m_star, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"reduced matrix must be square, got shape {a.shape}")
-    if not ((a >= 0.0) & (a < math.inf)).all():  # a Python max over NaN is order-dependent
+    # The checks and the residual read the entries once, as Python floats.
+    rows = a.tolist()
+    flat = list(chain.from_iterable(rows))
+    # Finite first: a Python min over NaN is order-dependent.
+    if not (all(map(math.isfinite, flat)) and min(flat, default=0.0) >= 0.0):
         raise ValidationError("reduced matrix must be nonnegative and finite")
     k = a.shape[0]
-    if not a.any():
+    if not any(flat):
         # Zero matrix: every positive vector is an eigenvector for 0.
         return 0.0, np.ones(k)
 
-    # The iterate `vec` stays the array that `dot` returned, divided by its
-    # max; the stopping and cycle checks read it as a float list, `w`.
+    # The iterate `vec` is the array that `dot` wrote, divided by its max;
+    # `dot` writes into `spare`, the iterate before, so the two alternate.
+    # The stopping and cycle checks read the iterate as a float list, `w`.
     # An iterate equal to an earlier one repeats forever, since the map is
     # deterministic.  `back` catches a 2-cycle at once; longer cycles are found
     # against `mark` (Brent), which moves on after 1, 2, 4, ... iterations.
     dot = a.dot
-    vec, v, back = np.ones(k), [1.0] * k, None
+    vec, spare, v, back = np.ones(k), np.empty(k), [1.0] * k, None
     mark, since, power = v, 0, 1
     for _ in range(max_iter):
-        vec = dot(vec)
+        vec, spare = dot(vec, out=spare), vec
         mx = max(vec.tolist())
         if mx <= 0.0:
             raise PerronConvergenceError(
@@ -143,7 +160,7 @@ def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float,
         vec /= mx
         w = vec.tolist()
         if max(map(abs, map(sub, w, v))) < _PERRON_STEP_TOL:
-            lam, v = mx, vec
+            lam = mx
             break
         if w == back:
             raise PerronConvergenceError("Perron iteration failed: iterates cycle with period 2")
@@ -159,7 +176,7 @@ def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float,
             f"Perron iteration failed to converge within {max_iter} iterations"
         )
 
-    residual = float(abs(a @ v - lam * v).max())
+    residual = max(abs(sum(map(mul, row, w)) - lam * wi) for row, wi in zip(rows, w))
     if residual > _PERRON_RESIDUAL_TOL:
         raise PerronConvergenceError(
             f"Perron iteration converged to residual {residual:.3e} > {_PERRON_RESIDUAL_TOL}"
@@ -168,7 +185,7 @@ def perron(m_star: np.ndarray, max_iter: int = _PERRON_MAX_ITER) -> tuple[float,
         raise PerronConvergenceError(
             f"dominant reduced eigenvalue {lam} is not < 1; invalid mutation matrix?"
         )
-    return lam, v
+    return lam, vec
 
 
 @dataclass(slots=True)

@@ -136,12 +136,3 @@ def partial_leq(x: Composition, y: Composition) -> bool:
         if a > b:
             return False
     return True
-
-
-def minimal_element(n_total: int, d: int) -> Composition:
-    """The unique minimum of the lattice: everything in the last part."""
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got d={d}")
-    if n_total < 0:
-        raise ValidationError(f"need n_total >= 0, got {n_total}")
-    return (0,) * (d - 1) + (n_total,)

@@ -14,7 +14,8 @@ coupled urn additions, and the reference sampler, draw through Generator
 methods, not the bit stream.  The closed-form stationary laws are products of
 rising factorials, not the package's log-gamma tables; the eigen residual reads
 the kernel rows; the monotonicity audit is a randomized search for a witness
-pair, not a proof.
+pair, not a proof.  ``minimal_element`` writes out the lattice minimum, which
+no package path forms.
 """
 from __future__ import annotations
 
@@ -451,3 +452,8 @@ def monotonicity_audit(tm, trials: int, seed: int, tol: float = 1e-10) -> tuple[
         if bad.any():
             max_excess = max(max_excess, float(excess[bad].max()))
     return int(comparable.sum()), violations, max_excess
+
+
+def minimal_element(n_total: int, d: int) -> Composition:
+    """The unique minimum of the lattice: everything in the last part."""
+    return (0,) * (d - 1) + (n_total,)

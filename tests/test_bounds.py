@@ -19,7 +19,6 @@ from monochain import (
     bound_report,
     crude_bound,
     enumerate_states,
-    minimal_element,
     model_eigendata,
     spec_to_json,
     steps_to_epsilon,
@@ -34,7 +33,7 @@ from helpers import (
     random_prob_vector,
     random_state,
 )
-from oracles import multinomial_pmf
+from oracles import minimal_element, multinomial_pmf
 
 
 def test_steps_to_epsilon_golden_cases():

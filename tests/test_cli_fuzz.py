@@ -8,6 +8,12 @@ N = 10^6.  Exit 0 must print a JSON document with no NaN or Infinity in it
 (a CSV curve for ``exact``); exit 2 or 3 must print one ``error:`` line and
 nothing on stdout; nothing else, an escaping exception or a RuntimeWarning
 included, is an answer.
+
+A second, seeded mix feeds malformed configs to all four subcommands: a
+document that is not an object, non-numeric strings, a ragged mutation
+matrix, a dict of urn weights, bool and float counts, and null or string
+scalars.  Each is a small config that ``bounds`` answers until one field is
+spoiled, and each spoiled one must exit 2 or 3 with one ``error:`` line.
 """
 import csv
 import json
@@ -136,3 +142,128 @@ def test_random_configs_answer_or_exit_cleanly(tmp_path, capsys, seed):
                 assert isinstance(answer, dict), where
     # The mix reaches answers and both kinds of refusal.
     assert {0, 2, 3} <= set(codes)
+
+
+# Malformed configs: a valid small config (d <= 4, N <= 20) with one field spoiled.
+COMMANDS = ("bounds", "spectral", "exact", "couple")
+MODEL_COUNTS = ("N", "s")
+RUN_COUNTS = ("seed", "replicates", "max_steps", "n_max")
+
+
+def _small_config(rng, families=FAMILIES) -> dict:
+    family = families[int(rng.integers(len(families)))]
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(2, 21))
+    model = {"model": family, "N": n}
+    if family == "moran_general":
+        m = rng.random((d, d)) + 0.05
+        m /= m.sum(axis=1, keepdims=True)
+        # The last row strictly dominated, as in _mutation_matrix's dominated half.
+        last = m[: d - 1, : d - 1].min(axis=0) * rng.uniform(0.1, 0.9, d - 1)
+        m[d - 1] = [*last, 1.0 - last.sum()]
+        model["mutation_matrix"] = m.tolist()
+    elif family == "moran_standard":
+        model["m"] = float(rng.uniform(0.1, 0.9))
+        model["p"] = rng.dirichlet(np.ones(d)).tolist()
+    else:
+        model["s"] = int(rng.integers(1, 3))
+        weights = [float(rng.uniform(0.5, 2.0)) for _ in range(d)]
+        if family == "ehrenfest":
+            model["p"] = [w / math.fsum(weights) for w in weights]
+        else:
+            model["alpha"] = weights
+    return {"model": model, "start": [0] * (d - 1) + [n], "epsilon": 0.01,
+            "replicates": 2, "max_steps": 5, "n_max": 5}
+
+
+def _count_field(rng, doc: dict) -> tuple:
+    """A field that must hold an integer: a model count, a run count or a start entry."""
+    fields = [(doc["model"], key) for key in MODEL_COUNTS if key in doc["model"]]
+    fields += [(doc, key) for key in RUN_COUNTS]
+    if rng.random() < 0.25:
+        return doc["start"], int(rng.integers(len(doc["start"])))
+    return fields[int(rng.integers(len(fields)))]
+
+
+def _non_object(rng, doc):
+    if rng.random() < 0.5:
+        return [[], "moran_standard", 3, None, [doc]][int(rng.integers(5))]
+    doc["model"] = [doc["model"], "polya_level", 7][int(rng.integers(3))]
+    return doc
+
+
+def _non_numeric_string(rng, doc):
+    text = ["ten", "", "1e3x", "nan", "0x10"][int(rng.integers(5))]
+    scalars = [(doc["model"], key) for key in ("N", "m", "s") if key in doc["model"]]
+    where, key = [*scalars, (doc, "epsilon"), _count_field(rng, doc)][int(rng.integers(len(scalars) + 2))]
+    where[key] = text
+    return doc
+
+
+def _ragged_matrix(rng, doc):
+    rows = doc["model"]["mutation_matrix"]
+    rows[int(rng.integers(len(rows)))].pop()
+    return doc
+
+
+def _dict_weights(rng, doc):
+    doc["model"]["alpha"] = {str(i): w for i, w in enumerate(doc["model"]["alpha"])}
+    return doc
+
+
+def _bool_count(rng, doc):
+    where, key = _count_field(rng, doc)
+    where[key] = bool(rng.integers(2))
+    return doc
+
+
+def _float_count(rng, doc):
+    where, key = _count_field(rng, doc)
+    where[key] = float(where[key]) + [0.0, 0.5][int(rng.integers(2))]
+    return doc
+
+
+def _null_or_string_scalar(rng, doc):
+    scalars = [(doc["model"], key) for key in ("N", "m", "s") if key in doc["model"]]
+    scalars += [(doc, key) for key in ("epsilon", *RUN_COUNTS)]
+    where, key = scalars[int(rng.integers(len(scalars)))]
+    where[key] = None if rng.random() < 0.5 else str(where[key])
+    return doc
+
+
+# Each spoiler with the families whose configs it can spoil.
+SPOILERS = (
+    (_non_object, FAMILIES),
+    (_non_numeric_string, FAMILIES),
+    (_ragged_matrix, ("moran_general",)),
+    (_dict_weights, ("polya_level", "polya_updown", "polya_downup")),
+    (_bool_count, FAMILIES),
+    (_float_count, FAMILIES),
+    (_null_or_string_scalar, FAMILIES),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_malformed_configs_exit_cleanly(tmp_path, capsys, seed):
+    rng = np.random.default_rng(1000 + seed)
+    path = tmp_path / "config.json"
+    for spoil, families in SPOILERS:
+        doc = _small_config(rng, families)
+        # Unspoiled, the config gets an answer.
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", "--config", str(path)]) == 0, json.dumps(doc)
+        capsys.readouterr()
+        doc = spoil(rng, doc)
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            where = f"{command} on {spoil.__name__}: {json.dumps(doc)}"
+            try:
+                code = main([command, "--config", str(path)])
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} escaped main: {where}")
+            out, err = capsys.readouterr()
+            assert code in (2, 3), f"exit {code}: {out}{err} {where}"
+            assert out == "", where
+            assert err.startswith("error: ") and err.count("\n") == 1, where
+            assert "Traceback" not in err, where

@@ -240,10 +240,33 @@ def test_perron_reports_the_cycle_of_a_periodic_matrix(p):
         assert _outcome(perron_oracle, a) is PerronConvergenceError
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
 def test_perron_refuses_non_finite_entries(bad):
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
         perron(np.array([[0.5, bad], [0.1, 0.2]]))
+
+
+def test_perron_reads_negative_zero_as_zero():
+    # -0.0 >= 0.0, so it passes the check and counts as a zero entry.
+    got = perron(np.array([[0.5, -0.0], [0.1, 0.2]]))
+    want = perron(np.array([[0.5, 0.0], [0.1, 0.2]]))
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    for zero in (np.full((2, 2), -0.0), np.zeros((3, 3)), np.zeros((0, 0))):
+        lam, vec = perron(zero)
+        assert lam == 0.0 and vec.tolist() == [1.0] * len(zero)
+
+
+def test_perron_residual_check_holds_at_a_large_spectral_radius():
+    # At spectral radius ~9e3 the iterates settle to 1e-14, but lam times
+    # their rounding leaves a residual near 4e-11: the residual check, not
+    # the eigenvalue bound after it, refuses the pair.  Scaled by 1e-4 the
+    # same matrix converges.
+    a = np.array([[6123.4, 2871.9], [1934.7, 7012.3]])
+    with pytest.raises(PerronConvergenceError, match="converged to residual"):
+        perron(a)
+    assert _outcome(perron_oracle, a) is PerronConvergenceError
+    lam, _ = perron(a * 1e-4)
+    assert lam == pytest.approx(0.8966558138248587, rel=1e-12)
 
 
 def test_moran_increment_residual_matches_the_row_form():
@@ -452,6 +475,63 @@ def test_eigendata_checks_replace_and_equality():
     assert moved.to_json_dict() == {**ed.to_json_dict(), "lambda": 0.5}
     # Slotted: no per-instance dict.
     assert not hasattr(ed, "__dict__")
+
+
+def _count_graph_searches(monkeypatch) -> list:
+    """A list that gains one entry per strong-connectivity search from now on."""
+    calls = []
+    real = kernels._strongly_connected
+
+    def counting(adj):
+        calls.append(1)
+        return real(adj)
+
+    monkeypatch.setattr(kernels, "_strongly_connected", counting)
+    return calls
+
+
+def test_strict_domination_reports_search_no_graph(monkeypatch):
+    spec = MoranGeneral(100, delta_construction_matrix(0.05))
+    searches = _count_graph_searches(monkeypatch)
+    bound_report(spec, (30, 30, 40), 0.01)
+    build_eigenfunction(spec.M, 1000)
+    assert searches == []
+    # Reading c2 searches once, and the answer is kept.
+    report = classify_conditions(spec.M)
+    assert report.c2_holds and report.c2_holds
+    assert len(searches) == 1
+
+
+def test_c2_is_searched_only_when_c1_and_c3_fail(monkeypatch):
+    # Weak domination, the Perron run cycles: c2 alone decides.
+    weak = MutationMatrix([[0.1, 0.6, 0.3], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    # No weak domination: c2 fails without a search.
+    violating = MutationMatrix([[0.2, 0.4, 0.4], [0.3, 0.4, 0.3], [0.5, 0.1, 0.4]])
+    searches = _count_graph_searches(monkeypatch)
+    assert classify_conditions(weak).any_holds
+    assert len(searches) == 1
+    with pytest.raises(PerronConvergenceError):
+        build_eigenfunction(weak, 10)
+    assert not classify_conditions(violating).any_holds
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("M,c2", [
+    (MoranStandard(10, 0.4, (0.2, 0.3, 0.5)).M, False),
+    (delta_construction_matrix(0.05), True),
+    (MutationMatrix([[0.2, 0.4, 0.4], [0.3, 0.4, 0.3], [0.5, 0.1, 0.4]]), False),
+    (MutationMatrix([[0.1, 0.6, 0.3], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]), True),
+], ids=["standard", "delta", "violating", "weak_periodic"])
+def test_c2_on_demand_matches_the_eager_test(M, c2):
+    report = classify_conditions(M)
+    d = M.d
+    last, others = M.matrix[d - 1, : d - 1], M.matrix[: d - 1, : d - 1]
+    weak = bool(np.all(last <= others.min(axis=0)))
+    assert report.weak is weak
+    assert report.c2_holds is c2 is (weak and kernels._strongly_connected(report.reduced > 0.0))
+    for name in ("weak", "c2_holds"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, not getattr(report, name))
 
 
 def test_condition_reports_stay_frozen():

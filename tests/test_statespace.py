@@ -9,7 +9,6 @@ from monochain import (
     PolyaLevel,
     ValidationError,
     enumerate_states,
-    minimal_element,
     partial_leq,
     run_coupled,
     sample_step,
@@ -17,6 +16,7 @@ from monochain import (
     validate_composition,
 )
 from monochain.statespace import compositions, ranks, state_array
+from oracles import minimal_element
 
 
 def test_enumerate_tiny_cases():
