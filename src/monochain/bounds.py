@@ -12,7 +12,8 @@ the scales of interest.
 
 The public functions validate their input, then call private kernels that
 take it as valid, so each formula has one arithmetic path.  ``bound_report``
-validates its start once and passes the checked tuple to those kernels.
+validates its start and reads its epsilon once, and passes the checked values
+to those kernels.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownStationaryError, ValidationError
-from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec
+from .kernels import ModelSpec, MoranGeneral, MoranStandard, UrnSpec, as_real
 from .spectral import EigenData, model_eigendata
 from .statespace import Composition, validate_composition
 
@@ -82,7 +83,12 @@ def _coefficients(ed: EigenData, x: Composition) -> tuple[float, float]:
 
 
 def steps_to_epsilon(coeff: float, lam: float, epsilon: float) -> int:
-    """Smallest n >= 0 with coeff * lam^n <= epsilon.
+    """Smallest n >= 0 with coeff * lam^n <= epsilon; epsilon must be a real number."""
+    return _steps_to_epsilon(coeff, lam, as_real(epsilon, "epsilon"))
+
+
+def _steps_to_epsilon(coeff: float, lam: float, epsilon: float) -> int:
+    """steps_to_epsilon at a float epsilon.
 
     Computed by logarithms, then nudged so the defining inequality holds
     exactly as evaluated in floating point (the golden step counts sit close
@@ -180,10 +186,10 @@ def stationary_log_pmfs(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
 
 
 def _report_steps(coeff: float, lam: float, epsilon: float) -> int:
-    """steps_to_epsilon, extended to lam = 0: such a chain is stationary after one step."""
+    """_steps_to_epsilon, extended to lam = 0: such a chain is stationary after one step."""
     if lam == 0.0 and epsilon > 0.0:
         return 0 if coeff <= epsilon else 1
-    return steps_to_epsilon(coeff, lam, epsilon)
+    return _steps_to_epsilon(coeff, lam, epsilon)
 
 
 def crude_bound(spec: ModelSpec, x: Composition) -> float:
@@ -212,6 +218,7 @@ def bound_coefficients(spec: ModelSpec,
 
 def bound_report(spec: ModelSpec, x: Composition, epsilon: float) -> BoundReport:
     """Full bound evaluation: bound_coefficients and the step counts to epsilon."""
+    epsilon = as_real(epsilon, "epsilon")
     lam, lower, upper, crude = bound_coefficients(spec, x)
     return BoundReport(
         lam=lam,

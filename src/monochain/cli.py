@@ -7,19 +7,19 @@ Subcommands:
     spectral  -- eigenvalue/eigenfunction report for Moran chains (JSON)
 
 A run is configured by a single JSON document (--config) with optional flag
-overrides.  Exit codes: 0 success, 2 validation failure, 3 capability failure
-(state space over the cap, unknown stationary law, failed monotonicity, an
-urn addition law, coefficient or step count beyond the float range).
+overrides.  The exception class decides the exit code, as errors.py lists:
+0 success, or a stdout whose reader has exited; 2 invalid input, or an output
+that cannot be written; 3 a capability failure (CapacityError or a subclass,
+or OverflowError); 1 a bug guard.  A nonzero exit prints one stderr line.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -28,16 +28,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import coupling, exact, spectral
-from .errors import (
-    CapacityError,
-    CouplingOrderError,
-    MonochainError,
-    NoMonotoneConditionError,
-    PerronConvergenceError,
-    StationaryConvergenceError,
-    UnknownStationaryError,
-    ValidationError,
-)
+from .errors import CapacityError, CouplingOrderError, MonochainError, ValidationError
 from .kernels import (
     ModelSpec,
     UrnSpec,
@@ -47,20 +38,6 @@ from .kernels import (
     transition_prob,
 )
 from .statespace import Composition, partial_leq, validate_composition
-
-# OverflowError: the crude coefficient exp(-log pi(x) / 2) / 2 past the
-# float range (MoranStandard(5000, 0.5, (0.5, 0.5)) from (5000, 0)), or a
-# step count coeff / epsilon that is inf (epsilon = 1e-300).  Its message
-# names no cause, so main prefixes one.
-_CAPABILITY_ERRORS = (
-    OverflowError,
-    CapacityError,
-    UnknownStationaryError,
-    NoMonotoneConditionError,
-    PerronConvergenceError,
-    StationaryConvergenceError,
-)
-
 
 @dataclass
 class RunConfig:
@@ -150,20 +127,13 @@ def _round_floats(obj):
     return obj
 
 
-def _open_output(path: str):
-    """Open an output file for writing; an unwritable path is invalid input."""
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
 def _emit_json(doc: dict, path: str | None) -> None:
+    """Print the document; a path gets the same text first, so a closed stdout cannot skip it."""
     text = json.dumps(_round_floats(doc), indent=2)
-    print(text)
     if path:
-        with _open_output(path) as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -177,22 +147,17 @@ def cmd_exact(cfg: RunConfig) -> int:
     lam, lower, upper, crude = bounds_mod.bound_coefficients(cfg.spec, cfg.start)
     curve = exact.tv_curve(tm, cfg.start, cfg.n_max)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "tv_exact", "lower_bound", "upper_bound", "crude_bound"])
+    # Byte for byte what csv.writer writes: no field needs quoting, and every
+    # line ends in CRLF, as in coupling.trajectory_csv.
+    rows = ["n,tv_exact,lower_bound,upper_bound,crude_bound\r\n"]
     decay = 1.0
     for n, tv in enumerate(curve):
-        writer.writerow([
-            n,
-            f"{tv:.12g}",
-            f"{lower * decay:.12g}",
-            f"{upper * decay:.12g}",
-            "" if crude is None else f"{crude * decay:.12g}",
-        ])
+        crude_text = "" if crude is None else f"{crude * decay:.12g}"
+        rows.append(f"{n},{tv:.12g},{lower * decay:.12g},{upper * decay:.12g},{crude_text}\r\n")
         decay *= lam
-    text = buf.getvalue()
+    text = "".join(rows)
     if cfg.output:
-        with _open_output(cfg.output) as fh:
+        with open(cfg.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -213,11 +178,10 @@ def cmd_couple(cfg: RunConfig) -> int:
     first_x: list[Composition] = []
     first_y: list[Composition] = []
     violations = 0
-    with contextlib.ExitStack() as stack:
-        out = None
-        if cfg.trajectories:
-            # Each replicate's rows are written as soon as it finishes.
-            out = stack.enter_context(_open_output(cfg.trajectories))
+    # Each replicate's rows are written as soon as it finishes.
+    with (open(cfg.trajectories, "w", newline="") if cfg.trajectories
+          else contextlib.nullcontext()) as out:
+        if out:
             out.write("replicate,step,x,y,coalesced\r\n")
         # Without a trajectories file only the first step is needed.
         keep_steps = None if out else 1
@@ -344,17 +308,36 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, args)
-        return handlers[args.command](cfg)
+        code = handlers[args.command](cfg)
+        sys.stdout.flush()
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CAPABILITY_ERRORS as exc:
+    except (OverflowError, CapacityError) as exc:
+        # OverflowError (a crude coefficient or a step count past the float
+        # range) names no cause in its message, so a prefix gives one.
         cause = f"value beyond the float range ({exc})" if isinstance(exc, OverflowError) else exc
         print(f"error: {cause}", file=sys.stderr)
         return 3
     except MonochainError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # An output file, or stdout, could not be written.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself is closed or full: what it still buffers goes to
+            # devnull, so the flush at exit cannot fail again.  A stdout that
+            # flushes is left alone, as an in-process caller needs it.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader of stdout has exited: nothing is left to say
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -86,6 +86,24 @@ def test_bound_report_refuses_an_invalid_epsilon(epsilon):
         bound_report(PolyaLevel(10, 2, (2.0, 1.0, 1.0)), (2, 3, 5), epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [True, "0.01", None, math.nan])
+def test_library_epsilon_must_be_a_real_number(epsilon):
+    # Not only the CLI's config reader checks the type: a bool is not the
+    # number 1, and a string or None raises ValidationError, not TypeError.
+    spec, x = PolyaLevel(100, 2, (180.0,) * 5), (0, 20, 0, 20, 60)
+    with pytest.raises(ValidationError, match="epsilon"):
+        bound_report(spec, x, epsilon)
+    with pytest.raises(ValidationError, match="epsilon"):
+        steps_to_epsilon(100.0, 0.9, epsilon)
+
+
+def test_library_epsilon_int_reads_as_float():
+    report = bound_report(PolyaLevel(100, 2, (180.0,) * 5), (0, 20, 0, 20, 60), 1)
+    assert type(report.epsilon) is float and report.epsilon == 1.0
+    assert json.dumps(report.to_json_dict()["epsilon"]) == "1.0"
+    assert steps_to_epsilon(100.0, 0.9, 1) == steps_to_epsilon(100.0, 0.9, 1.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: crude_bound(PolyaLevel(7, 2, (1.0, 2.0, 0.5)), (1, 2, 3)),
     lambda: crude_bound(PolyaLevel(6, 2, (1.0, 2.0)), (1, 2, 3)),

@@ -1,7 +1,11 @@
+import argparse
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -26,8 +30,10 @@ from monochain import (
     sample_step,
     stationary,
     transition_row,
+    tv_curve,
 )
 from monochain import bounds, cli
+from monochain.errors import MonochainError
 from monochain.cli import _empirical_tv, main
 from helpers import delta_construction_matrix
 
@@ -778,6 +784,152 @@ def test_bad_output_paths_exit_2(tmp_path, capsys):
         bad = _write(tmp_path, dict(COUPLE, **{key: 2}), "b8.json")
         assert main(["couple", "--config", bad]) == 2
         assert "must be a path string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["couple_small.json", "moran_general.json"])
+def test_exact_csv_is_csv_writer_bytes(capsys, name):
+    # The text equals csv.writer's bytes for the same rows, CRLF line ends
+    # included; the general Moran chain has no crude bound, so its last
+    # field is empty.
+    path = str(CONFIG_DIR / name)
+    assert main(["exact", "--config", path]) == 0
+    out = capsys.readouterr().out
+    cfg = cli.load_config(path, argparse.Namespace())
+    lam, lower, upper, crude = bounds.bound_coefficients(cfg.spec, cfg.start)
+    curve = tv_curve(build_matrix(cfg.spec), cfg.start, cfg.n_max)
+    decays = itertools.accumulate([1.0] + [lam] * cfg.n_max, operator.mul)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["n", "tv_exact", "lower_bound", "upper_bound", "crude_bound"])
+    writer.writerows(
+        (n, f"{tv:.12g}", f"{lower * decay:.12g}", f"{upper * decay:.12g}",
+         "" if crude is None else f"{crude * decay:.12g}")
+        for n, (tv, decay) in enumerate(zip(curve, decays)))
+    assert out == buf.getvalue()
+    assert out.count("\r\n") == cfg.n_max + 2
+    assert out.startswith("n,tv_exact,lower_bound,upper_bound,crude_bound\r\n0,")
+    if crude is None:
+        assert out.endswith(",\r\n")
+
+
+# ---------------------------------------------------------------------------
+# The exit contract: the exception class decides the exit code
+# ---------------------------------------------------------------------------
+
+def _subclasses(cls):
+    """Every subclass of cls, walked recursively."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+EXIT_CODES = {
+    "ValidationError": 2,
+    "CapacityError": 3,
+    "PerronConvergenceError": 3,
+    "NoMonotoneConditionError": 3,
+    "UnknownStationaryError": 3,
+    "StationaryConvergenceError": 3,
+    "EigenConsistencyError": 1,
+    "CouplingOrderError": 1,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    assert {cls.__name__ for cls in _subclasses(MonochainError)} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc_type", [OverflowError, *_subclasses(MonochainError)],
+                         ids=lambda cls: cls.__name__)
+def test_the_error_class_decides_the_exit_code(tmp_path, capsys, monkeypatch, exc_type):
+    def fail(cfg):
+        raise exc_type("the cause")
+
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    expected = 3 if exc_type is OverflowError else EXIT_CODES[exc_type.__name__]
+    assert main(["bounds", "--config", _write(tmp_path, HUBBELL)]) == expected
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "the cause" in err
+    assert err.startswith("internal error: " if expected == 1 else "error: ")
+
+
+def _cli_child(argv, stdout):
+    """Exit code and stderr of the CLI in a child whose stdout is block-buffered.
+
+    PYTHONUNBUFFERED is removed: with it, a failed write shows at once, and
+    the failure of the flush at exit does not show.
+    """
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "monochain.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+# (command, config, the flags that name output files)
+OUTPUT_RUNS = [
+    ("bounds", "hubbell.json", ["--output"]),
+    ("exact", "couple_small.json", ["--output"]),
+    ("couple", "couple_small.json", ["--trajectories", "--summary"]),
+    ("spectral", "moran_general.json", ["--output"]),
+]
+
+
+@pytest.mark.parametrize("command,config,file_flags", OUTPUT_RUNS,
+                         ids=[run[0] for run in OUTPUT_RUNS])
+def test_closed_stdout_exits_0_quietly(tmp_path, capsys, command, config, file_flags):
+    # The reader of stdout has exited before the child starts: a run with or
+    # without output files exits 0 with nothing on stderr, and the files
+    # equal a normal run's.
+    argv = [command, "--config", str(CONFIG_DIR / config)]
+
+    def files(prefix):
+        return [arg for flag in file_flags for arg in (flag, str(tmp_path / (prefix + flag)))]
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for extra in ([], files("closed")):
+            assert _cli_child(argv + extra, write_end) == (0, ""), extra
+    finally:
+        os.close(write_end)
+    assert main(argv + files("normal")) == 0
+    capsys.readouterr()
+    for flag in file_flags:
+        assert (tmp_path / ("closed" + flag)).read_bytes() == \
+            (tmp_path / ("normal" + flag)).read_bytes(), flag
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command,config,flag", [
+    *((command, config, None) for command, config, _ in OUTPUT_RUNS),
+    *((command, config, flag) for command, config, flags in OUTPUT_RUNS for flag in flags),
+])
+def test_full_device_exits_2_with_one_line(command, config, flag):
+    # flag None: stdout is the full device.
+    argv = [command, "--config", str(CONFIG_DIR / config)]
+    if flag is None:
+        with open("/dev/full", "w") as full:
+            code, err = _cli_child(argv, full)
+    else:
+        code, err = _cli_child(argv + [flag, "/dev/full"], subprocess.DEVNULL)
+    assert code == 2, err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_unwritable_file_leaves_the_callers_stdout_alone():
+    # Only a stdout that itself fails is pointed at devnull: a caller of
+    # main, whose stdout is a real descriptor, still prints after it.
+    script = ("from monochain.cli import main; "
+              f"code = main(['bounds', '--config', {str(CONFIG_DIR / 'hubbell.json')!r}, "
+              "'--output', '/dev/full']); print('after', code)")
+    src = str(Path(monochain.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "after 2\n", proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
 
 
 def test_json_numbers_are_rounded_to_12_significant_digits(tmp_path, capsys):
