@@ -1,11 +1,14 @@
 """Desk-scale ground truth: sparse kernels, stationary laws, exact TV curves.
 
 Everything here materializes the full state space, so it is gated by the
-enumeration cap.  After a graph check that the kernel is irreducible and
-aperiodic, the stationary distribution comes from power iteration on K^T
-started from the closed-form law where there is one, and from one sparse
-direct solve otherwise.  A TV curve writes its K^T products into the rows of
-a preallocated block and reduces each block's distances to stationarity at
+enumeration cap.  A down-up urn kernel is also kept as its two stages,
+K = R A (removal into the N - s lattice, then addition back), which hold a
+fraction of K's entries; every K^T product goes through them.  After a
+graph check that the kernel is irreducible and aperiodic, the stationary
+distribution comes from power iteration on K^T started from the
+closed-form law where there is one, and from one sparse direct solve
+otherwise.  A TV curve writes its K^T products into the rows of a
+preallocated block and reduces each block's distances to stationarity at
 once.  Nothing makes the kernel dense.
 
 scipy's sparse stack is imported on the first exact-engine call (building a
@@ -28,7 +31,7 @@ from .errors import (
     UnknownStationaryError,
     ValidationError,
 )
-from .kernels import ModelSpec, as_integer, kernel_rows
+from .kernels import ModelSpec, UrnSpec, addition_rows, as_integer, kernel_rows, removal_rows
 from .statespace import Composition, ranks, state_array, validate_composition
 
 if TYPE_CHECKING:
@@ -56,11 +59,24 @@ class TransitionMatrix:
 
     Row i of csr is the row of state_array[i].  ``states`` (tuples) and
     ``index`` (state to row) are formed from state_array on first use.
+    ``factors``, empty for a kernel held as one matrix, are sparse matrices
+    whose product is csr, chaining S -> S' -> ... -> S states; products with
+    K^T then go through their transposes.  Shapes are checked on creation.
     """
 
     spec: ModelSpec
     csr: sp.csr_matrix
     state_array: np.ndarray = field(repr=False)
+    factors: tuple = ()
+
+    def __post_init__(self):
+        n = len(self.state_array)
+        if self.csr.shape != (n, n):
+            raise ValidationError(f"kernel of shape {self.csr.shape} over {n} states")
+        sizes = [n, *(f.shape[1] for f in self.factors)]
+        if self.factors and ([f.shape[0] for f in self.factors] != sizes[:-1] or sizes[-1] != n):
+            shapes = " x ".join(str(f.shape) for f in self.factors)
+            raise ValidationError(f"factors {shapes} do not chain {n} states to {n}")
 
     @cached_property
     def states(self) -> list[Composition]:
@@ -76,29 +92,73 @@ class TransitionMatrix:
 
     @cached_property
     def kt(self) -> sp.csr_matrix:
-        """K^T in CSR form, built once for stationary and tv_curve."""
+        """K^T in CSR form, built once; the products of a kernel without factors go through it."""
         return self.csr.T.tocsr()
+
+    @cached_property
+    def transposes(self) -> tuple:
+        """The CSR matrices a K^T product applies in turn, built once.
+
+        (kt,) for one matrix, else each factor's transpose in factor order:
+        (R A)^T v = A^T (R^T v).
+        """
+        return tuple(f.T.tocsr() for f in self.factors) or (self.kt,)
+
+
+def _csr(blocks, n_total: int, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR of the (lengths, successors, probabilities) blocks of consecutive rows.
+
+    A successor's column is its colex rank among the compositions of n_total,
+    which is its row in state_array(n_total, d).
+    """
+    import scipy.sparse as sp
+
+    lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
+    for n, succ, probs in blocks:
+        lengths.append(n)
+        cols.append(ranks(succ, n_total))
+        data.append(probs)
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),
+        shape=shape)
 
 
 def build_matrix(spec: ModelSpec) -> TransitionMatrix:
     """Exact transition matrix of a model over its full state space, within the state cap.
 
-    Rows come from kernels.kernel_rows a block of states at a time; a
-    successor's column is its colex rank, which is its enumeration index.
+    A down-up urn step (down-up Polya, Ehrenfest) removes s balls, landing
+    in the N - s lattice, then adds s back, so its kernel is K = R A: R from
+    kernels.removal_rows, A from kernels.addition_rows, and csr their one
+    sparse product, with R and A kept as the matrix's factors.  The factors
+    hold a fraction of K's entries and of its paths.  The other families
+    sum their paths into one CSR from kernels.kernel_rows, a block of states
+    at a time: level-order and Moran additions read the state before the
+    removal, and up-down's intermediate N + s lattice may exceed the state
+    cap where the space itself does not.  Raises ValidationError on a
+    negative or NaN entry or a row sum off 1 by more than 1e-10, in a factor
+    or a path-sum row, and CapacityError where an entry underflows to 0.0,
+    an entry of R A whose every path product underflows included (the
+    sparse product would drop it).
     """
-    import scipy.sparse as sp
-
     array = state_array(spec.N, spec.d)
-    lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
-    for n, succ, probs in kernel_rows(spec, array):
-        lengths.append(n)
-        cols.append(ranks(succ, spec.N))
-        data.append(probs)
-    csr = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),
-        shape=(len(array), len(array)),
-    )
-    return TransitionMatrix(spec=spec, csr=csr, state_array=array)
+    size = len(array)
+    if not (isinstance(spec, UrnSpec) and spec.order == "downup"):
+        csr = _csr(kernel_rows(spec, array), spec.N, (size, size))
+        return TransitionMatrix(spec=spec, csr=csr, state_array=array)
+    mid = state_array(spec.N - spec.s, spec.d)
+    r = _csr(removal_rows(spec, array), spec.N - spec.s, (size, len(mid)))
+    a = _csr(addition_rows(spec, mid), spec.N, (len(mid), size))
+    csr = r @ a
+    # A sum of positive path products is dropped from the product when every
+    # one underflows to 0.0, which cannot happen while the least two factor
+    # entries multiply to a positive float: rounding is monotone.
+    if not r.data.min() * a.data.min() > 0.0:
+        reach = r.astype(bool) @ a.astype(bool)
+        short = np.diff(csr.indptr) < np.diff(reach.indptr)
+        if short.any():
+            origin = tuple(array[int(np.argmax(short))].tolist())
+            raise CapacityError(f"row from {origin} has an entry below the float range (0.0)")
+    return TransitionMatrix(spec=spec, csr=csr, state_array=array, factors=(r, a))
 
 
 def _ergodicity_problem(csr: sp.csr_matrix) -> str | None:
@@ -130,27 +190,35 @@ def _start(tm: TransitionMatrix) -> np.ndarray | None:
     return start / start.sum()
 
 
-def _product(kt: sp.csr_matrix):
+def _product(tm: TransitionMatrix):
     """``product(v, out)``: out += K^T v by scipy's CSR kernel, the one ``kt @ v`` calls.
 
     v and out are contiguous float64 vectors; a zeroed out gets the bits of
-    ``kt @ v`` without its dispatch and allocation.  A caller binds it once
+    ``kt @ v`` without its dispatch and allocation.  Through factors, K^T v
+    is each factor's transpose applied in turn (A^T (R^T v)), by way of
+    zeroed intermediate vectors the product owns.  A caller binds it once
     and makes all of its products through it.
     """
     from scipy.sparse._sparsetools import csr_matvec
 
-    matvec = partial(csr_matvec, kt.shape[0], kt.shape[1], kt.indptr, kt.indices, kt.data)
+    *stages, last = [partial(csr_matvec, t.shape[0], t.shape[1], t.indptr, t.indices, t.data)
+                     for t in tm.transposes]
+    mids = [np.empty(t.shape[0]) for t in tm.transposes[:-1]]
 
     def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        matvec(v, out)
+        for matvec, mid in zip(stages, mids):
+            mid.fill(0.0)
+            matvec(v, mid)
+            v = mid
+        last(v, out)
         return out
 
     return product
 
 
-def _power_iterate(kt: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
+def _power_iterate(tm: TransitionMatrix, v: np.ndarray) -> tuple[np.ndarray, bool]:
     """Iterate v -> K^T v until successive iterates agree; (last iterate, settled)."""
-    product = _product(kt)
+    product = _product(tm)
     for _ in range(0, _STATIONARY_POWER_BUDGET, _STATIONARY_CHECK_EVERY):
         prev, v = v, product(v, np.zeros(len(v)))
         # A NaN settles too, and fails the residual check.
@@ -199,7 +267,7 @@ def stationary(tm: TransitionMatrix) -> np.ndarray:
     start = _start(tm)
     settled = False
     if start is not None:
-        pi, settled = _power_iterate(tm.kt, start)
+        pi, settled = _power_iterate(tm, start)
     if not settled:
         pi = _solve_direct(tm.csr)
     pi = pi / pi.sum()
@@ -236,7 +304,7 @@ def tv_curve(tm: TransitionMatrix, x0: Composition, n_max: int,
         raise CapacityError(f"TV curve too long: {n_max + 1} points (cap {_TV_CURVE_CAP})")
     if pi is None:
         pi = stationary(tm)
-    product = _product(tm.kt)
+    product = _product(tm)
     rows = min(n_max + 1, max(2, _TV_BLOCK_BUDGET // tm.dim))
     block = np.zeros((rows, tm.dim))
     block[0, np.argmax(hit)] = 1.0

@@ -2,6 +2,8 @@
 
 Entries are read two ways: ``kernel_rows`` builds many states' rows at once
 (``transition_row`` on one state), ``transition_prob`` sums one entry's paths.
+``removal_rows`` and ``addition_rows`` build the rows of the two stages of a
+down-up urn step, whose product is its kernel.
 
 Moran replacement chain on species counts: at each step one individual dies
 (uniform), one reproduces (uniform, possibly the same), and the offspring
@@ -368,8 +370,9 @@ def _hypergeom_pmf(r: tuple[int, ...], x: Composition, denom: int) -> float:
     return num / denom
 
 
-# Paths (states x paths per state) held at once while rows are built, so the
-# memory of a build follows this budget, not the size of the state space.
+# Paths (states x paths per state), or stage entries, held at once while rows
+# are built, so the memory of a build follows this budget, not the size of
+# the state space.
 _PATH_BUDGET = 1 << 17
 
 
@@ -557,6 +560,46 @@ def kernel_rows(spec: ModelSpec, states: np.ndarray
         # take gathers whole rows at once, where fancy indexing goes entry by entry.
         successors = x.take(row, axis=0) + offsets.take(path[first], axis=0)
         yield np.bincount(row, minlength=len(x)), successors, probs
+
+
+def removal_rows(spec: UrnSpec, states: np.ndarray
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows of R, the removal stage of a down-up urn step K = R A, from ``states`` of N.
+
+    Yields, a block of states at a time, (lengths, successors, probabilities)
+    as kernel_rows does: each state's fitting removals r, in the lex order
+    of compositions(s, d), lead to x - r in the N - s lattice with their
+    hypergeometric law.  Blocks hold at most _PATH_BUDGET entries (one state
+    at least).  Raises as kernel_rows does on a bad entry or row sum.
+    """
+    comps = _step_vectors(spec.s, spec.d)
+    block = max(1, _PATH_BUDGET // len(comps))
+    for lo in range(0, len(states), block):
+        x = states[lo:lo + block]
+        row, r = np.nonzero((x[:, None, :] >= comps).all(axis=2))
+        probs = _removal_probs(x, spec.N, spec.s, comps)[row, r]
+        _check_rows(x, row, probs)
+        successors = x.take(row, axis=0) - comps.take(r, axis=0)
+        yield np.bincount(row, minlength=len(x)), successors, probs
+
+
+def addition_rows(spec: UrnSpec, states: np.ndarray
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows of A, the addition stage of a down-up urn step K = R A, from ``states`` of N - s.
+
+    As removal_rows, over every addition a (all fit), leading to y + a in
+    the N lattice with the law _addition_probs gives it.
+    """
+    comps = _step_vectors(spec.s, spec.d)
+    n = len(comps)
+    block = max(1, _PATH_BUDGET // n)
+    for lo in range(0, len(states), block):
+        y = states[lo:lo + block]
+        # Draws that add nothing give every state one law.
+        law = _addition_probs(spec, y, spec.N - spec.s, comps)
+        probs = np.broadcast_to(law, (len(y), n)).ravel()
+        _check_rows(y, np.repeat(np.arange(len(y)), n), probs)
+        yield np.full(len(y), n), (y[:, None, :] + comps).reshape(-1, spec.d), probs
 
 
 def transition_prob(spec: ModelSpec, x: Composition, z: Composition) -> float:

@@ -22,10 +22,15 @@ from .errors import CapacityError, ValidationError
 Composition = tuple[int, ...]
 
 # Largest state space state_array will materialize.  The exact module keeps
-# every state, the sparse kernel, its transpose and a few vectors.  Only a
-# kernel with no closed-form stationary law (general Moran) also needs the LU
-# factors of one sparse solve; they fill in fast as d grows, so at d >= 5
-# such a space near this cap is not yet solvable on a desk machine.
+# every state, the sparse kernel, its transpose and a few vectors; a down-up
+# urn kernel also keeps its two stages, R and A, whose transposes stand in
+# for K's and whose middle lattice (N - s) is under the cap whenever the
+# space is.  Up-down Polya sums its paths instead, since its N + s lattice
+# can pass the cap (200,028 states at N = 631, d = 3) when the space, 199,396
+# states at N = 630, does not.  Only a kernel with no closed-form stationary
+# law (general Moran) also needs the LU factors of one sparse solve; they
+# fill in fast as d grows, so at d >= 5 such a space near this cap is not yet
+# solvable on a desk machine.
 DEFAULT_STATE_CAP = 200_000
 
 _PLAIN_INT = frozenset({int})

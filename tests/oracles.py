@@ -15,7 +15,8 @@ methods, not the bit stream.  The closed-form stationary laws are products of
 rising factorials, not the package's log-gamma tables; the eigen residual reads
 the kernel rows; the monotonicity audit is a randomized search for a witness
 pair, not a proof.  ``minimal_element`` writes out the lattice minimum, which
-no package path forms.
+no package path forms.  ``path_sum_csr`` is the one-CSR kernel of summed
+paths, which build_matrix no longer forms for the down-up urns.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from monochain import (
     validate_composition,
 )
 from monochain.kernels import kernel_rows, pick_index
+from monochain.statespace import ranks, state_array
 
 
 def species_of_labels(x) -> list[int]:
@@ -263,6 +265,24 @@ def polya_row_oracle(kind: str, x, s, alpha) -> dict:
     else:
         raise ValueError(f"unknown urn kind {kind!r}")
     return rows
+
+
+def path_sum_csr(spec) -> sp.csr_matrix:
+    """The kernel as kernel_rows sums its paths, one CSR over state_array(N, d).
+
+    Each row's entries in the order of the first path to each successor.
+    build_matrix's csr for every family but the down-up urns, whose csr is
+    the product R A of their two stages.
+    """
+    array = state_array(spec.N, spec.d)
+    lengths, cols, data = [np.zeros(1, dtype=np.int64)], [], []
+    for n, succ, probs in kernel_rows(spec, array):
+        lengths.append(n)
+        cols.append(ranks(succ, spec.N))
+        data.append(probs)
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(cols), np.cumsum(np.concatenate(lengths))),
+        shape=(len(array), len(array)))
 
 
 def moran_row_scalar(spec, x: Composition) -> dict:

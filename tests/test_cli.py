@@ -491,15 +491,15 @@ def test_exact_at_twelve_thousand_states_in_bounded_memory(tmp_path):
 
 
 def test_exact_at_d5_in_bounded_memory(tmp_path):
-    # N = 30, d = 5: 46,376 states and 4.8M nonzeros.  The kernel and the
-    # power iteration fit a 2 GB address space; a sparse LU of the same
-    # kernel fills in beyond it.
+    # N = 30, d = 5: 46,376 states.  A level-order Polya kernel of 4.8M
+    # nonzeros and its power iteration fit a 2 GB address space, and so does
+    # an Ehrenfest kernel with its two stages; a sparse LU of such a kernel
+    # fills in beyond it.
     resource = pytest.importorskip("resource")
-    doc = {
-        "model": {"model": "polya_level", "N": 30, "s": 2, "alpha": [1.0, 2.0, 1.5, 0.5, 1.0]},
-        "start": [30, 0, 0, 0, 0],
-        "n_max": 20,
-    }
+    models = [
+        {"model": "polya_level", "N": 30, "s": 2, "alpha": [1.0, 2.0, 1.5, 0.5, 1.0]},
+        {"model": "ehrenfest", "N": 30, "s": 2, "p": [0.2] * 5},
+    ]
     cap = 2 * 1024**3
 
     def limit_memory():
@@ -507,14 +507,16 @@ def test_exact_at_d5_in_bounded_memory(tmp_path):
 
     src = str(Path(monochain.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "monochain.cli", "exact", "--config", _write(tmp_path, doc)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(proc.stdout.splitlines()))
-    assert len(rows) == 21
-    assert all(float(r["lower_bound"]) - 1e-11 <= float(r["tv_exact"])
-               <= float(r["upper_bound"]) + 1e-11 for r in rows)
+    for model in models:
+        doc = {"model": model, "start": [30, 0, 0, 0, 0], "n_max": 20}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monochain.cli", "exact", "--config", _write(tmp_path, doc)],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert len(rows) == 21
+        assert all(float(r["lower_bound"]) - 1e-11 <= float(r["tv_exact"])
+                   <= float(r["upper_bound"]) + 1e-11 for r in rows)
 
 
 # Imports the package in a fresh interpreter; given a command and config

@@ -24,6 +24,7 @@ from monochain import (
     spec_from_json,
 )
 from helpers import delta_construction_matrix
+from oracles import path_sum_csr
 
 STEPS = 200
 
@@ -133,11 +134,42 @@ CSR_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("doc,digest", CSR_DIGESTS, ids=[
-    d["model"] + ("" if d.get("s", 2) == 2 else f"_s{d['s']}") for d, _ in CSR_DIGESTS])
-def test_exact_kernels_match_pinned_digests(doc, digest):
-    csr = build_matrix(spec_from_json(doc)).csr
+def _csr_digest(m) -> str:
     h = hashlib.sha256()
-    for a in (csr.data, csr.indices, csr.indptr):
+    for a in (m.data, m.indices, m.indptr):
         h.update(a.tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+def _csr_id(doc: dict) -> str:
+    return doc["model"] + ("" if doc.get("s", 2) == 2 else f"_s{doc['s']}")
+
+
+@pytest.mark.parametrize("doc,digest", CSR_DIGESTS, ids=[_csr_id(d) for d, _ in CSR_DIGESTS])
+def test_exact_kernels_match_pinned_digests(doc, digest):
+    # The down-up urns' build_matrix kernel is the product R A of its two
+    # stages (pinned below); theirs pins the path sums kernel_rows still makes.
+    tm = build_matrix(spec_from_json(doc))
+    assert _csr_digest(path_sum_csr(tm.spec) if tm.factors else tm.csr) == digest
+
+
+# The down-up urns of CSR_DIGESTS: the sha256 of R, A and csr = R A of
+# their build_matrix kernels, each over data, indices and indptr.
+FACTOR_DIGESTS = {
+    "polya_downup": ("fd6adf96f9b752390b39f13e5df39de7988e74436dc9ab961cdecd38db3c236c",
+                     "5870a08b6b644284e9ab91a55c68111411a6801efca1dc792f2c705ff923074e",
+                     "49b9f5045e5e8936d3c306c07cf72623a9fbd378f6c91135764b621347d8cf25"),
+    "ehrenfest": ("c9d04ad1d9da43b703c208e2119fc62ae2830317e9d1b74bf9d929d39812574c",
+                  "d90caddfe9f6888c380b8619939b884d6f26699ad550464995db00023b61af32",
+                  "2ce9ce40a8a08152c0f47f622aef7bff7aec127f91b91b19b0e3cc16b7803a75"),
+    "ehrenfest_s3": ("f0b854fc2ba9e2943500b58347002abfb893a8361a121aedb0e043ba9b63e2b9",
+                     "71e03f73e879868827c5d361e2a5e965089253c8142c130f572eca1916567739",
+                     "74b23767dee1f910b3d1bf7314720bce1e88c6851f3d25502b738b7e5f4f883f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_DIGESTS))
+def test_downup_factors_match_pinned_digests(name):
+    doc = next(d for d, _ in CSR_DIGESTS if _csr_id(d) == name)
+    tm = build_matrix(spec_from_json(doc))
+    assert tuple(map(_csr_digest, (*tm.factors, tm.csr))) == FACTOR_DIGESTS[name]

@@ -32,7 +32,14 @@ from monochain import (
 from monochain import exact, kernels
 from monochain.exact import TransitionMatrix
 from helpers import delta_construction_matrix, random_positive_matrix, random_prob_vector
-from oracles import dm_pmf, monotonicity_audit, moran_row_scalar, multinomial_pmf, stationary_lu
+from oracles import (
+    dm_pmf,
+    monotonicity_audit,
+    moran_row_scalar,
+    multinomial_pmf,
+    path_sum_csr,
+    stationary_lu,
+)
 
 
 def test_build_matrix_shape_and_rows():
@@ -54,28 +61,34 @@ def _all_families(n: int, d: int, s: int, rng) -> list:
     ]
 
 
-def _csr_row(tm, i: int) -> list:
-    lo, hi = tm.csr.indptr[i], tm.csr.indptr[i + 1]
-    return [(tm.states[j], p) for j, p in zip(tm.csr.indices[lo:hi], tm.csr.data[lo:hi])]
+def _csr_row(csr, states, i: int) -> list:
+    lo, hi = csr.indptr[i], csr.indptr[i + 1]
+    return [(states[j], p) for j, p in zip(csr.indices[lo:hi], csr.data[lo:hi])]
+
+
+def _path_sums(tm):
+    """The CSR of kernel_rows' path sums for tm's spec: tm.csr itself, but for the down-up urns' R A."""
+    return path_sum_csr(tm.spec) if tm.factors else tm.csr
 
 
 @pytest.mark.parametrize("budget", [None, 40], ids=["one_block", "blocks_of_states"])
 @pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 4)])
 def test_batched_rows_equal_single_rows(n, d, budget, monkeypatch):
-    # Every CSR row, entries and column order, equals the row of one state,
-    # and every Moran row, entries, bits and order, the scalar row builder's.
-    # A small path budget splits the build into blocks of a few states.
+    # Every path-sum CSR row, entries and column order, equals the row of one
+    # state, and every Moran row, entries, bits and order, the scalar row
+    # builder's.  A small path budget splits the build into blocks of a few states.
     if budget is not None:
         monkeypatch.setattr(kernels, "_PATH_BUDGET", budget)
     rng = np.random.default_rng([n, d])
     for s in sorted({1, 2, n}):
         for spec in _all_families(n, d, s, rng):
             tm = build_matrix(spec)
+            csr = _path_sums(tm)
             for i, x in enumerate(tm.states):
-                assert _csr_row(tm, i) == list(transition_row(spec, x).items())
+                assert _csr_row(csr, tm.states, i) == list(transition_row(spec, x).items())
                 if isinstance(spec, (MoranGeneral, MoranStandard)):
                     scalar = moran_row_scalar(spec, x)
-                    assert _csr_row(tm, i) == list(scalar.items())
+                    assert _csr_row(csr, tm.states, i) == list(scalar.items())
 
 
 @pytest.mark.parametrize("ctor,weights", [
@@ -90,9 +103,33 @@ def test_batched_rows_beyond_exact_float_binomials(ctor, weights):
     spec = ctor(60, 30, weights)
     assert math.comb(60, 30) > 2**53
     tm = build_matrix(spec)
+    csr = _path_sums(tm)
     for i, x in enumerate(tm.states):
-        for z, p in _csr_row(tm, i):
+        for z, p in _csr_row(csr, tm.states, i):
             assert p == kernels.transition_prob(spec, x, z)
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["one_block", "blocks_of_states"])
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 4), (60, 2)])
+def test_downup_factors_multiply_to_the_path_sums(n, d, budget, monkeypatch):
+    # K = R A, removal into the N - s lattice then addition back, is the
+    # kernel whose paths kernel_rows sums, at s = 1, 2 and N (and 30 at N = 60,
+    # where comb(60, 30) > 2**53), built in one block or in blocks of a state or two.
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_PATH_BUDGET", budget)
+    rng = np.random.default_rng([n, d, 3])
+    for s in sorted({1, 2, n} | ({30} if n == 60 else set())):
+        alpha = tuple(rng.uniform(0.5, 3.0, d))
+        for spec in (PolyaDownUp(n, s, alpha), Ehrenfest(n, s, random_prob_vector(rng, d))):
+            tm = build_matrix(spec)
+            r, a = tm.factors
+            mid = monochain.state_count(n - s, d)
+            assert r.shape == (tm.dim, mid) and a.shape == (mid, tm.dim)
+            # The path sums' pattern, and their entries within 1e-15 relative.
+            got, want = tm.csr.sorted_indices(), path_sum_csr(spec).sorted_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.all(np.abs(got.data - want.data) <= 1e-15 * want.data)
 
 
 def _corrupt_first_row(change):
@@ -126,10 +163,50 @@ def test_corrupted_path_probability_is_refused(change, message, monkeypatch):
         transition_row(spec, (4, 0, 0))
 
 
+def _corrupt_first_law(law, change):
+    """Wrap a kernels law so that ``change`` edits the law of its first state."""
+
+    def corrupted(*args):
+        out = law(*args).copy()
+        out[0] = change(out[0])
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("law", ["_removal_probs", "_addition_probs"])
+@pytest.mark.parametrize("change,message", [(_flip_first, "must be > 0"),
+                                            (lambda p: 2.0 * p, "sums to")],
+                         ids=["entry_not_positive", "row_sum_off"])
+def test_corrupted_factor_entry_is_refused(law, change, message, monkeypatch):
+    # The first state of each stage's lattice, (0, 0, 4) or (0, 0, 3): one
+    # entry of R made negative or R's row doubled, and the same in A.
+    monkeypatch.setattr(kernels, law, _corrupt_first_law(getattr(kernels, law), change))
+    with pytest.raises(ValidationError, match=message):
+        build_matrix(PolyaDownUp(4, 1, (1.0, 2.0, 1.5)))
+
+
+def test_transition_matrix_refuses_shapes_that_do_not_chain():
+    # A kernel or factors that do not match the states would have scipy's
+    # unchecked CSR kernel read or write past its vectors.
+    tm = build_matrix(PolyaDownUp(4, 1, (1.0, 2.0, 1.5)))
+    r, a = tm.factors
+    two = tm.state_array[:2]
+    with pytest.raises(ValidationError, match=r"kernel of shape \(3, 3\) over 2 states"):
+        TransitionMatrix(spec=None, csr=sp.identity(3, format="csr"), state_array=two)
+    with pytest.raises(ValidationError, match="do not chain 15 states to 15"):
+        TransitionMatrix(spec=tm.spec, csr=tm.csr, state_array=tm.state_array, factors=(a, r))
+    with pytest.raises(ValidationError, match="do not chain"):
+        TransitionMatrix(spec=tm.spec, csr=tm.csr, state_array=tm.state_array, factors=(r,))
+    same = TransitionMatrix(spec=tm.spec, csr=tm.csr, state_array=tm.state_array, factors=(r, a))
+    assert np.array_equal(tv_curve(same, (4, 0, 0), 10), tv_curve(tm, (4, 0, 0), 10))
+
+
 def test_large_s_build_in_bounded_memory():
-    # Down-up at N = 44, s = 22, d = 3: 1,035 states with up to 276 x 276
-    # paths each.  Held at once they take about 1.5 GB; built a block of
-    # states at a time they fit the child's 1 GB address space.
+    # N = 44, s = 22, d = 3: 1,035 states with up to 276 x 276 paths each.
+    # Held at once they take about 1.5 GB.  Level order sums them a block of
+    # states at a time, and down-up builds its two stages of at most 276
+    # entries a row; both fit the child's 1 GB address space.
     resource = pytest.importorskip("resource")
     cap = 1024**3
 
@@ -138,13 +215,15 @@ def test_large_s_build_in_bounded_memory():
 
     code = ("import monochain as mc; "
             "tm = mc.build_matrix(mc.PolyaDownUp(44, 22, (1.0, 2.0, 1.5))); "
+            "print(tm.dim, tm.csr.nnz); "
+            "tm = mc.build_matrix(mc.PolyaLevel(44, 22, (1.0, 2.0, 1.5))); "
             "print(tm.dim, tm.csr.nnz)")
     src = str(Path(monochain.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, preexec_fn=limit_memory, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1035", "728157"]
+    assert proc.stdout.split() == ["1035", "728157"] * 2
 
 
 def test_standard_and_general_matrices_coincide():
@@ -364,13 +443,18 @@ def test_tv_curve_starts_at_complement_of_stationary_mass():
 
 
 def test_stationary_and_tv_curve_share_one_transpose():
-    tm = build_matrix(PolyaLevel(6, 1, (1.0, 2.0, 1.5)))
-    pi = stationary(tm)
-    kt = vars(tm)["kt"]  # built by the power iteration from the closed form
-    tv_curve(tm, (2, 2, 2), 5, pi)
-    tv_curve(tm, (0, 0, 6), 5)
-    assert vars(tm)["kt"] is kt
-    assert (kt != tm.csr.T).nnz == 0
+    for spec in (PolyaLevel(6, 1, (1.0, 2.0, 1.5)), PolyaDownUp(6, 1, (1.0, 2.0, 1.5))):
+        tm = build_matrix(spec)
+        pi = stationary(tm)
+        transposes = vars(tm)["transposes"]  # built by the power iteration from the closed form
+        tv_curve(tm, (2, 2, 2), 5, pi)
+        tv_curve(tm, (0, 0, 6), 5)
+        assert vars(tm)["transposes"] is transposes
+        # K^T itself for one matrix; for R and A, each transposed once and K^T never formed.
+        assert len(transposes) == len(tm.factors or (tm.csr,))
+        for t, m in zip(transposes, tm.factors or (tm.csr,)):
+            assert (t != m.T).nnz == 0
+        assert vars(tm).get("kt") is (None if tm.factors else transposes[0])
 
 
 def test_tv_curve_deterministic():
